@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import inf
 
 from . import numkit as nk
 from . import zindex as zi
@@ -666,9 +667,9 @@ def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
     """
     if k < 1 or n < 0:
         raise DomainError("need k >= 1 and n >= 0")
+    if not 0 < tol < inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     tol = Fraction(tol)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     einv_lo, einv_hi = _einv_enclosure()
     ek_lo, ek_hi = einv_lo ** k, einv_hi ** k
     exact = pr_k_exact(k, n)[n]

@@ -10,6 +10,16 @@ stored, so for an actual species every stored value is a positive
 integer.  The arithmetic-product rule and the Hadamard rule act directly
 on fix-values; the product, plethysm and arithmetic product convert to
 monomial coefficients (fix/aut) internally and convert back at the end.
+
+The kernels grade their operands by weight, computing each term's weight
+once, and walk the weight buckets in ascending order: the product stops
+at the first pair of buckets with wa + wb above the bound, the
+arithmetic product at the first with wb * wg above it, so no pair of
+terms that cannot survive the truncation is formed.  Plethysm builds the
+substituted power-sum product p_lam[q] of each partition from that of
+lam with one largest part removed (Bergeron, Labelle and Leroux,
+Combinatorial Species and Tree-like Structures, section 4.3), so each
+distinct partition costs one truncated product.
 """
 
 from __future__ import annotations
@@ -152,14 +162,15 @@ def zi_point(p: CycleIndex) -> CycleIndex:
 
 
 def _add_mult(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, m in enumerate(a):
-        out[i] += m
+    """Multiply two monomials: add their multiplicity tuples.
+
+    Keys carry no trailing zeros, so neither does the sum.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, m in enumerate(b):
         out[i] += m
-    while out and out[-1] == 0:
-        out.pop()
     return tuple(out)
 
 
@@ -174,15 +185,26 @@ def _scale_parts(lam, factor):
     return tuple(out)
 
 
+def _graded(mono):
+    """(weight, [(partition, coeff), ...]) buckets in ascending weight."""
+    buckets = {}
+    for lam, c in mono.items():
+        buckets.setdefault(nk.weight(lam), []).append((lam, c))
+    return sorted(buckets.items())
+
+
 def _mono_mul(a, b, bound):
+    """Product of two {partition: coeff} polynomials, truncated at weight bound."""
     out = {}
-    for la, ca in a.items():
-        wa = nk.weight(la)
-        for lb, cb in b.items():
-            if wa + nk.weight(lb) > bound:
-                continue
-            key = _add_mult(la, lb)
-            out[key] = out.get(key, _ZERO) + ca * cb
+    graded_b = _graded(b)
+    for wa, terms_a in _graded(a):
+        for wb, terms_b in graded_b:
+            if wa + wb > bound:
+                break
+            for la, ca in terms_a:
+                for lb, cb in terms_b:
+                    key = _add_mult(la, lb)
+                    out[key] = out.get(key, _ZERO) + ca * cb
     return {k: v for k, v in out.items() if v}
 
 
@@ -205,33 +227,42 @@ def zi_mul(p: CycleIndex, q: CycleIndex) -> CycleIndex:
 
 
 def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
-    """Plethystic substitution: x_i in p becomes q(x_i, x_2i, x_3i, ...)."""
+    """Plethystic substitution: x_i in p becomes q(x_i, x_2i, x_3i, ...).
+
+    x^lam[q] is memoised per partition as x^rest[q] * q(x_i, x_2i, ...),
+    where i is the largest part of lam and rest is lam without one i.
+    """
     if any(nk.weight(lam) == 0 for lam in q.fix):
         raise CompositionError("plethysm inner series has a weight-0 term")
     bound = min(p.bound, q.bound)
-    qmono = _monomials(q, bound)
+    graded_q = _graded(_monomials(q, bound))
     scaled = {}
+    power = {(): {(): Fraction(1)}}
 
     def q_scaled(i):
         if i not in scaled:
             scaled[i] = {
                 _scale_parts(lam, i): c
-                for lam, c in qmono.items()
-                if nk.weight(lam) * i <= bound
+                for w, terms in graded_q
+                if w * i <= bound
+                for lam, c in terms
             }
         return scaled[i]
+
+    def substituted(lam):
+        if lam not in power:
+            rest = lam[:-1] + (lam[-1] - 1,)
+            while rest and rest[-1] == 0:
+                rest = rest[:-1]
+            power[lam] = _mono_mul(substituted(rest), q_scaled(len(lam)), bound)
+        return power[lam]
 
     acc = {}
     for lam, v in p.fix.items():
         if nk.weight(lam) > bound:
             continue
-        poly = {(): Fraction(1)}
-        for part in nk.mult_to_parts(lam):
-            poly = _mono_mul(poly, q_scaled(part), bound)
-            if not poly:
-                break
         c = v / nk.aut(lam)
-        for mu, cm in poly.items():
+        for mu, cm in substituted(lam).items():
             acc[mu] = acc.get(mu, _ZERO) + c * cm
     return _from_monomials(bound, acc)
 
@@ -266,17 +297,16 @@ def zi_aprod(p: CycleIndex, q: CycleIndex) -> CycleIndex:
         if any(nk.weight(lam) == 0 for lam in r.fix):
             raise ZeroConstantRequired("arithmetic product of index series needs no weight-0 term")
     bound = min(p.bound, q.bound)
+    graded_q = _graded(_monomials(q, bound))
     acc = {}
-    for lb, vb in p.fix.items():
-        wb = nk.weight(lb)
-        if wb > bound:
-            continue
-        cb = vb / nk.aut(lb)
-        for lg, vg in q.fix.items():
-            if wb * nk.weight(lg) > bound:
-                continue
-            alpha = box_type(lb, lg)
-            acc[alpha] = acc.get(alpha, _ZERO) + cb * (vg / nk.aut(lg))
+    for wb, terms_b in _graded(_monomials(p, bound)):
+        for wg, terms_g in graded_q:
+            if wb * wg > bound:
+                break
+            for lb, cb in terms_b:
+                for lg, cg in terms_g:
+                    alpha = box_type(lb, lg)
+                    acc[alpha] = acc.get(alpha, _ZERO) + cb * cg
     return _from_monomials(bound, acc)
 
 

@@ -235,6 +235,14 @@ def test_main_exit_codes(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_pittel_non_finite_tolerance_exits_3(capsys):
+    for tol in ("nan", "inf"):
+        assert main(["table", "pittel", "--k", "2", "--n", "2", "--tol", tol]) == 3
+        err = capsys.readouterr().err
+        assert "tolerance must be finite and positive" in err
+        assert "Traceback" not in err
+
+
 def test_max_n_env_override(monkeypatch, capsys):
     assert main(["counts", "E", "--n", "31"]) == 3
     monkeypatch.setenv("SPECALC_MAX_N", "40")

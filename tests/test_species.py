@@ -223,8 +223,9 @@ def test_pittel_numeric():
         assert abs(v - 1) <= 1e-6
     v, b = sp.pittel_numeric(2, 4, 1e-6)
     assert abs(v - len(oracle.k_partial_rectangles(4, 2))) <= 1e-6
-    with pytest.raises(DomainError):
-        sp.pittel_numeric(2, 2, 0)
+    for tol in (0, -1e-6, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            sp.pittel_numeric(2, 2, tol)
 
 
 def test_cyclotomic_check():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ANY_POOL, rand_emptyfree
 from specalc import numkit as nk
 from specalc import oracle
 from specalc import series as se
@@ -246,3 +247,59 @@ def test_canf_cycle_index_corollary():
     lhs = zi.zi_plethysm(z_ee, zep)
     par = zi.zi_plethysm(zi.zi_atom("E", bound), zep)
     assert lhs == zi.zi_hadamard(par, par)
+
+
+def test_plethysm_full_index_matches_oracle():
+    # every fix-value, not only the 1^n ones, so partitions with larger
+    # parts exercise the prefix-shared power-sum products; draws with more
+    # than 1000 structures on 4 labels are skipped to keep the oracle's
+    # enumeration small
+    rng = random.Random(33)
+    checked = larger_parts = 0
+    while checked < 16:
+        expr = sp.Subst(rng.choice(ANY_POOL), rand_emptyfree(rng))
+        if sp.eval_counts(expr, 4)[4] > 1000:
+            continue
+        checked += 1
+        z = sp.eval_zi(expr, 4)
+        for w in range(5):
+            for lam in nk.int_partitions(w):
+                assert z.fix_value(lam) == oracle.fix_by_type(expr, lam), (expr, lam)
+                larger_parts += len(lam) > 1 and z.fix_value(lam) > 0
+    assert larger_parts > 20
+
+
+def test_type_counts_of_partitions_past_the_cli_cap():
+    assert sp.type_counts(sp.Subst(sp.E(), sp.Eplus()), 12) == [
+        len(nk.int_partitions(n)) for n in range(13)
+    ]
+
+
+def test_kernels_pair_only_terms_within_the_bound(monkeypatch):
+    bound = 10
+    pairs, calls = [], []
+    add_mult, mono_mul, box = zi._add_mult, zi._mono_mul, zi.box_type
+
+    def counted_mono_mul(a, b, bnd):
+        calls.append(bnd)
+        return mono_mul(a, b, bnd)
+
+    def checked_add_mult(a, b):
+        pairs.append(nk.weight(a) + nk.weight(b))
+        return add_mult(a, b)
+
+    def checked_box(beta, gamma):
+        pairs.append(nk.weight(beta) * nk.weight(gamma))
+        return box(beta, gamma)
+
+    monkeypatch.setattr(zi, "_mono_mul", counted_mono_mul)
+    monkeypatch.setattr(zi, "_add_mult", checked_add_mult)
+    monkeypatch.setattr(zi, "box_type", checked_box)
+    par = zi.zi_plethysm(zi.zi_atom("E", bound), zi.zi_atom("Ep", bound))
+    # at most one product per nonempty partition of weight <= 10
+    assert sum(len(nk.int_partitions(w)) for w in range(1, bound + 1)) == 138
+    assert len(calls) <= 138
+    assert set(calls) == {bound}
+    zi.zi_mul(par, zi.zi_atom("C", bound))
+    zi.zi_aprod(zi.zi_atom("Sp", bound), zi.zi_atom("Ep", bound))
+    assert pairs and max(pairs) <= bound
