@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedForCycleIndex,
     ZeroConstantRequired,
 )
-from .series import dirichlet_of
+from .series import DirichletCoeffs, dirichlet_of, dirichlet_power
 
 DEFAULT_MAX_N = 30
 ZINDEX_MAX_N = 10
@@ -480,11 +480,13 @@ def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> d
         _check_order(n)
         if k < 1:
             raise DomainError("k must be >= 1")
+        # The k-rectangles on an i-set number i! (a^{*k})(i) with a_d = 1/d!.
+        power = dirichlet_power(
+            DirichletCoeffs(Fraction(1, nk.factorial(d)) for d in range(1, n + 1)), k
+        )
         for i in range(1, n + 1):
-            total = sum(
-                nk.multi_rect_coeff(i, shape)
-                for shape in _ordered_shapes(i, k)
-            )
+            total = power.term(i) * nk.factorial(i)
+            assert total.denominator == 1
             payload_rows.append({"n": str(i), "k": str(k), "value": str(total)})
     elif kind == "prect":
         _check_order(n)
@@ -520,16 +522,6 @@ def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> d
         "order": str(n),
         "payload": {"rows": payload_rows},
     }
-
-
-def _ordered_shapes(n, k):
-    if k == 0:
-        return [()] if n == 1 else []
-    out = []
-    for d in nk.divisors(n):
-        for rest in _ordered_shapes(n // d, k - 1):
-            out.append((d,) + rest)
-    return out
 
 
 # -- output formatting ----------------------------------------------------------------

@@ -9,13 +9,18 @@ partition 2+1+1 of 4 is ``(2, 1)`` and the empty partition is ``()``.
 ``int_partitions(n)`` lists partitions in reverse-lexicographic order of
 their descending part lists — for n = 3: (3), (2,1), (1,1,1) — and that
 order is the canonical one for all deterministic output.
+
+The count kernels at the end take labelled count sequences |F[0]|, |F[1]|,
+... of equal length and return the counts of the species built from them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
+from operator import mul
 
-from .errors import DomainError
+from .errors import CompositionError, DomainError, ZeroConstantRequired
 
 
 def factorial(n: int) -> int:
@@ -127,6 +132,24 @@ def bell(n: int) -> int:
     return row[0]
 
 
+def stirling1_table(n: int) -> list[list[int]]:
+    """Signed Stirling numbers of the first kind: row m holds s(m, 0..m), m = 0..n."""
+    rows = [[1]]
+    for m in range(n):
+        prev = rows[-1] + [0]
+        rows.append([0] + [prev[k - 1] - m * prev[k] for k in range(1, m + 2)])
+    return rows
+
+
+def stirling2_table(n: int) -> list[list[int]]:
+    """Stirling numbers of the second kind: row m holds S(m, 0..m), m = 0..n."""
+    rows = [[1]]
+    for m in range(n):
+        prev = rows[-1] + [0]
+        rows.append([0] + [prev[k - 1] + k * prev[k] for k in range(1, m + 2)])
+    return rows
+
+
 def rect_coeff(n: int, d: int) -> int:
     """Number of rectangles of height d on an n-set: n!/(d! (n/d)!); requires d | n."""
     if n < 1:
@@ -231,3 +254,70 @@ def int_partitions(n: int) -> tuple[tuple[int, ...], ...]:
 
     rec(n, n, [])
     return tuple(out)
+
+
+# -- count kernels: labelled counts of species operations, on integers ----------
+
+def product_counts(f, g) -> tuple[int, ...]:
+    """Counts of the product: h_m = sum_i C(m, i) f_i g_(m-i)."""
+    return tuple(
+        sum(comb(m, i) * f[i] * g[m - i] for i in range(m + 1) if f[i] and g[m - i])
+        for m in range(len(f))
+    )
+
+
+def compose_counts(f, g) -> tuple[int, ...]:
+    """Counts of the substitution by partial Bell polynomials B_(m,k)(g_1, g_2, ...).
+
+    B_(m,k) = sum_i C(m-1, i-1) g_i B_(m-i,k-1) and h_m = sum_k f_k B_(m,k).
+    """
+    if g[0]:
+        raise CompositionError("inner series must have zero constant term")
+    order = len(f) - 1
+    pascal = [[comb(m, i) for i in range(m + 1)] for m in range(order)]
+    h = [f[0]] + [0] * order
+    bell = [1] + [0] * order  # B_(m,0)
+    for k in range(1, order + 1):
+        bell = [0] * k + [
+            sum(
+                pascal[m - 1][i - 1] * g[i] * bell[m - i]
+                for i in range(1, m - k + 2)
+                if g[i] and bell[m - i]
+            )
+            for m in range(k, order + 1)
+        ]
+        if f[k]:
+            for m in range(k, order + 1):
+                h[m] += f[k] * bell[m]
+    return tuple(h)
+
+
+def rect_divisor_sum(m: int, f, g) -> int:
+    """The sum over d | m of rect_coeff(m, d) f_d g_(m/d)."""
+    return sum(
+        rect_coeff(m, d) * f[d] * g[m // d] for d in divisors(m) if f[d] and g[m // d]
+    )
+
+
+def aprod_counts(f, g) -> tuple[int, ...]:
+    """Counts of the arithmetic product: the rectangle divisor sum at every size."""
+    if f[0] or g[0]:
+        raise ZeroConstantRequired("arithmetic product operand has a nonzero constant term")
+    return (0,) + tuple(rect_divisor_sum(m, f, g) for m in range(1, len(f)))
+
+
+def stirling1_transform(a) -> list[int]:
+    """Counts of A(ln(1+x)) from those of A: sum_k s(m, k) a_k with signed s."""
+    return [sum(map(mul, row, a)) for row in stirling1_table(len(a) - 1)]
+
+
+def maprod_counts(f, g) -> tuple[int, ...]:
+    """Counts of the modified arithmetic product.
+
+    Substituting e^x - 1 is the Stirling-2 transform a_k = sum_j S(k, j) f_j;
+    the count-wise product a_k b_k is then taken back through ln(1+x).
+    """
+    s2 = stirling2_table(len(f) - 1)
+    a = [sum(map(mul, row, f)) for row in s2]
+    b = [sum(map(mul, row, g)) for row in s2]
+    return tuple(stirling1_transform(list(map(mul, a, b))))

@@ -11,6 +11,9 @@ Hadamard product (count-wise), the arithmetic product of series, the
 Lambert transform, Dirichlet coefficients with their convolution, and the
 (1+x)-basis machinery that gives the fast route to the modified
 arithmetic product.
+
+These ``Fraction`` kernels are the independent route the tests check the
+integer count kernels of ``numkit`` against.
 """
 
 from __future__ import annotations
@@ -317,6 +320,18 @@ def dirichlet_mul(a: DirichletCoeffs, b: DirichletCoeffs) -> DirichletCoeffs:
 def dirichlet_delta(order: int) -> DirichletCoeffs:
     """The convolution identity: a_1 = 1, the rest 0."""
     return DirichletCoeffs([_ONE] + [_ZERO] * (order - 1))
+
+
+def dirichlet_power(a: DirichletCoeffs, k: int) -> DirichletCoeffs:
+    """The k-th Dirichlet convolution power of a, k >= 0, by repeated squaring."""
+    out = dirichlet_delta(a.order)
+    while k:
+        if k & 1:
+            out = dirichlet_mul(out, a)
+        k >>= 1
+        if k:
+            a = dirichlet_mul(a, a)
+    return out
 
 
 # -- the (1+x) basis and the modified arithmetic product ------------------------

@@ -6,9 +6,10 @@ the isomorphism-types series), the hyper-cloned tree recursion, the
 multiplicativity tools, and the closed-form matrix/partial-rectangle
 counting formulas.
 
-Counts are plain ``list[int]`` indexed by size; the evaluators assert the
-exactness invariant (every labelled count is a nonnegative integer)
-before returning.
+Labelled counts are exact ``int`` tuples, one ``numkit`` count kernel per
+node; ``eval_counts`` asserts that every count is nonnegative.  The
+``Fraction`` kernels of ``series`` are the independent route the tests
+compare them against.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import inf
+from operator import add, mul
 
 from . import numkit as nk
 from . import zindex as zi
@@ -25,18 +27,10 @@ from .errors import (
     DomainError,
     IncompleteData,
     PreconditionViolated,
+    ScaleLimit,
     UnsupportedForCycleIndex,
 )
-from .series import (
-    TruncSeries,
-    aprod_egf,
-    compose,
-    exp_series,
-    geom_power,
-    hadamard,
-    log1p_series,
-    maprod_egf,
-)
+from .series import TruncSeries, aprod_egf, exp_series, geom_power
 
 
 # -- the expression tree -------------------------------------------------------
@@ -249,7 +243,7 @@ def empty_count(expr: SpeciesExpr) -> int:
     if isinstance(expr, AProd):
         return 0
     if isinstance(expr, Derivative):
-        return int(_egf(expr.f, 1).count(1))
+        return _counts(expr.f, 1)[1]
     if isinstance(expr, (Point, NonEmpty, HCT)):
         return 0
     if isinstance(expr, Restrict):
@@ -285,78 +279,72 @@ def validate(expr: SpeciesExpr) -> None:
     rec(expr, ())
 
 
-# -- exponential / count evaluator ----------------------------------------------
+# -- labelled count evaluator ----------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _counts(expr: SpeciesExpr, order: int) -> tuple[int, ...]:
+    """Labelled counts |F[0]| .. |F[order]| on exact integers, one kernel per node."""
+    if isinstance(expr, One):
+        return _only(0, (1,) * (order + 1))
+    if isinstance(expr, X):
+        return _only(1, (1,) * (order + 1))
+    if isinstance(expr, E):
+        return (1,) * (order + 1)
+    if isinstance(expr, Eplus):
+        return (0,) + (1,) * order
+    if isinstance(expr, (L, S)):
+        return tuple(map(nk.factorial, range(order + 1)))
+    if isinstance(expr, (Lplus, Splus)):
+        return (0,) + tuple(map(nk.factorial, range(1, order + 1)))
+    if isinstance(expr, C):
+        return (0,) + tuple(map(nk.factorial, range(order)))
+    if isinstance(expr, Ek):
+        return _only(expr.k, (1,) * (order + 1))
+    if isinstance(expr, XPow):
+        return _only(expr.n, map(nk.factorial, range(order + 1)))
+    if isinstance(expr, OnePlusXPow):
+        return tuple(nk.falling(expr.n, m) for m in range(order + 1))
+    if isinstance(expr, Necklace):
+        return (0,) + tuple(
+            nk.factorial(n - 1) * expr.alpha ** n for n in range(1, order + 1)
+        )
+    if isinstance(expr, AperiodicNecklace):
+        return (0,) + tuple(
+            nk.factorial(n) * nk.lyndon_count(n, expr.alpha) for n in range(1, order + 1)
+        )
+    if isinstance(expr, Sum):
+        return tuple(map(add, _counts(expr.f, order), _counts(expr.g, order)))
+    if isinstance(expr, Prod):
+        return nk.product_counts(_counts(expr.f, order), _counts(expr.g, order))
+    if isinstance(expr, Cartesian):
+        return tuple(map(mul, _counts(expr.f, order), _counts(expr.g, order)))
+    if isinstance(expr, Subst):
+        return nk.compose_counts(_counts(expr.f, order), _counts(expr.g, order))
+    if isinstance(expr, AProd):
+        return nk.aprod_counts(_counts(expr.f, order), _counts(expr.g, order))
+    if isinstance(expr, MAProd):
+        return nk.maprod_counts(_counts(expr.f, order), _counts(expr.g, order))
+    if isinstance(expr, Derivative):
+        return _counts(expr.f, order + 1)[1:]
+    if isinstance(expr, Point):
+        return tuple(n * c for n, c in enumerate(_counts(expr.f, order)))
+    if isinstance(expr, NonEmpty):
+        return (0,) + _counts(expr.f, order)[1:]
+    if isinstance(expr, Restrict):
+        return _only(expr.n, _counts(expr.f, order))
+    if isinstance(expr, HCT):
+        return tuple(hct_counts(expr.r, order))
+    raise DomainError(f"unknown expression node {expr!r}")
+
+
+def _only(n: int, counts) -> tuple[int, ...]:
+    """The counts kept at size n and zeroed at every other size."""
+    return tuple(c if m == n else 0 for m, c in enumerate(counts))
+
 
 @lru_cache(maxsize=None)
 def _egf(expr: SpeciesExpr, order: int) -> TruncSeries:
-    if isinstance(expr, One):
-        return TruncSeries.one(order)
-    if isinstance(expr, X):
-        return TruncSeries.x(order)
-    if isinstance(expr, E):
-        return TruncSeries(Fraction(1, nk.factorial(n)) for n in range(order + 1))
-    if isinstance(expr, Eplus):
-        return _egf(E(), order) - TruncSeries.one(order)
-    if isinstance(expr, (L, S)):
-        return TruncSeries.geometric(order)
-    if isinstance(expr, (Lplus, Splus)):
-        return TruncSeries.geometric(order) - TruncSeries.one(order)
-    if isinstance(expr, C):
-        return TruncSeries(
-            [0] + [Fraction(1, n) for n in range(1, order + 1)]
-        )
-    if isinstance(expr, Ek):
-        cs = [Fraction(0)] * (order + 1)
-        if expr.k <= order:
-            cs[expr.k] = Fraction(1, nk.factorial(expr.k))
-        return TruncSeries(cs)
-    if isinstance(expr, XPow):
-        cs = [Fraction(0)] * (order + 1)
-        if expr.n <= order:
-            cs[expr.n] = Fraction(1)
-        return TruncSeries(cs)
-    if isinstance(expr, OnePlusXPow):
-        return TruncSeries.one_plus_x_pow(expr.n, order)
-    if isinstance(expr, Necklace):
-        a = expr.alpha
-        return TruncSeries([0] + [Fraction(a ** n, n) for n in range(1, order + 1)])
-    if isinstance(expr, AperiodicNecklace):
-        a = expr.alpha
-        return TruncSeries(
-            [0] + [nk.lyndon_count(n, a) for n in range(1, order + 1)]
-        )
-    if isinstance(expr, Sum):
-        return _egf(expr.f, order) + _egf(expr.g, order)
-    if isinstance(expr, Prod):
-        return _egf(expr.f, order) * _egf(expr.g, order)
-    if isinstance(expr, Cartesian):
-        return hadamard(_egf(expr.f, order), _egf(expr.g, order))
-    if isinstance(expr, Subst):
-        return compose(_egf(expr.f, order), _egf(expr.g, order))
-    if isinstance(expr, AProd):
-        return aprod_egf(_egf(expr.f, order), _egf(expr.g, order))
-    if isinstance(expr, MAProd):
-        return maprod_egf(_egf(expr.f, order), _egf(expr.g, order), order)
-    if isinstance(expr, Derivative):
-        inner = _egf(expr.f, order + 1)
-        return TruncSeries(
-            (n + 1) * inner.coeffs[n + 1] for n in range(order + 1)
-        )
-    if isinstance(expr, Point):
-        inner = _egf(expr.f, order)
-        return TruncSeries(n * c for n, c in enumerate(inner.coeffs))
-    if isinstance(expr, NonEmpty):
-        inner = _egf(expr.f, order)
-        return TruncSeries((Fraction(0),) + inner.coeffs[1:])
-    if isinstance(expr, Restrict):
-        inner = _egf(expr.f, order)
-        cs = [Fraction(0)] * (order + 1)
-        if expr.n <= order:
-            cs[expr.n] = inner.coeffs[expr.n]
-        return TruncSeries(cs)
-    if isinstance(expr, HCT):
-        return TruncSeries.from_counts(hct_counts(expr.r, order))
-    raise DomainError(f"unknown expression node {expr!r}")
+    return TruncSeries.from_counts(_counts(expr, order))
 
 
 def eval_egf(expr: SpeciesExpr, order: int) -> TruncSeries:
@@ -367,13 +355,11 @@ def eval_egf(expr: SpeciesExpr, order: int) -> TruncSeries:
 
 def eval_counts(expr: SpeciesExpr, order: int) -> list[int]:
     """Labelled counts |F[0]| .. |F[order]|."""
-    f = eval_egf(expr, order)
-    out = []
-    for n, c in enumerate(f.coeffs):
-        v = c * nk.factorial(n)
-        if v.denominator != 1 or v < 0:
+    validate(expr)
+    out = list(_counts(expr, order))
+    for n, v in enumerate(out):
+        if v < 0:
             raise DomainError(f"count at {n} is {v}, not a nonnegative integer")
-        out.append(int(v))
     return out
 
 
@@ -504,11 +490,7 @@ def hct_counts(r: SpeciesExpr, order: int) -> list[int]:
     if order >= 1:
         h[1] = 1
     for n in range(1, order):
-        total = 0
-        for d in nk.divisors(n):
-            if rc[d]:
-                total += nk.rect_coeff(n, d) * rc[d] * h[n // d]
-        h[n + 1] = total
+        h[n + 1] = nk.rect_divisor_sum(n, rc, h)
     return h
 
 
@@ -598,21 +580,21 @@ def pr_k_exact(k: int, order: int) -> list[int]:
 
     Exact route: the Hadamard k-th power of the Bell series has count
     B_n^k; substituting ln(1+x) undoes the e^x - 1 inside and yields the
-    partial-rectangle series itself.
+    partial-rectangle series itself.  On counts that substitution is the
+    Stirling-1 transform of B_n^k.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    bells = [nk.bell(n) ** k for n in range(order + 1)]
-    p = compose(TruncSeries.from_counts(bells), log1p_series(order))
-    out = []
-    for n, c in enumerate(p.coeffs):
-        v = c * nk.factorial(n)
-        assert v.denominator == 1 and v >= 0
-        out.append(int(v))
+    out = nk.stirling1_transform([nk.bell(n) ** k for n in range(order + 1)])
+    assert all(v >= 0 for v in out)
     return out
 
 
 # -- certified numeric sums ----------------------------------------------------------
+
+# Most lattice points one exact box sum of ``pittel_numeric`` may visit.
+PITTEL_BOX_POINTS = 10 ** 6
+
 
 def _tail_upper(term, ratio, start):
     """Upper bound on sum_{i >= start} term(i).
@@ -676,6 +658,10 @@ def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
     term, ratio = _invfact_term(n), _invfact_ratio(n)
     box = 2 * n + 8
     while True:
+        if (box + 1) ** k > PITTEL_BOX_POINTS:
+            raise ScaleLimit(
+                f"pittel box sum over {box + 1}^{k} points exceeds {PITTEL_BOX_POINTS}"
+            )
         axis_tail = _tail_upper(term, ratio, box + 1)
         axis_full = _moment_upper(term, ratio, box)
         tail = k * axis_tail * axis_full ** (k - 1)

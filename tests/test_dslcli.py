@@ -174,6 +174,8 @@ def test_cmd_table_krect():
     rec = cmd_table("krect", 6, k=3)
     values = [int(r["value"]) for r in rec["payload"]["rows"]]
     assert values == [len(oracle.k_rectangles(n, 3)) for n in range(1, 7)]
+    rec = cmd_table("krect", 1, k=3000)
+    assert rec["payload"]["rows"] == [{"n": "1", "k": "3000", "value": "1"}]
 
 
 def test_cmd_table_mnr():
@@ -233,6 +235,11 @@ def test_main_exit_codes(capsys, monkeypatch):
     )
     assert main(["check", "Ep", "--n", "2"]) == 5
     capsys.readouterr()
+
+
+def test_pittel_box_past_the_point_limit_exits_4(capsys):
+    assert main(["table", "pittel", "--k", "8", "--n", "1"]) == 4
+    assert "scale limit" in capsys.readouterr().err
 
 
 def test_pittel_non_finite_tolerance_exits_3(capsys):
