@@ -12,11 +12,13 @@ Calls and their signatures: ``Ek(k) Xpow(n) OnePlusXpow(n) necklace(a)
 aperiodic(a)`` take an integer; ``deriv point plus hct`` take an
 expression; ``aprod maprod cart comp`` take two expressions;
 ``restrict(F, n)`` takes an expression and an integer.  ``*`` is the
-species product and binds tighter than ``+``.
+species product and binds tighter than ``+``.  Parentheses and the
+expression tree may nest at most ``MAX_DEPTH`` deep.
 
 The CLI prints machine-readable records (json, csv or plain text) and
-exits with 0 on success, 2 on parse errors, 3 on precondition/domain
-errors, 4 on scale limits, 5 when a check finds a mismatch.
+exits with 0 on success, 2 on parse errors (nesting past ``MAX_DEPTH``
+included), 3 on precondition/domain errors, 4 on scale limits, 5 when a
+check finds a mismatch.
 """
 
 from __future__ import annotations
@@ -25,48 +27,27 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import numkit as nk
 from . import oracle
 from . import species as sp
 from . import zindex as zi
-from .errors import (
-    CompositionError,
-    DomainError,
-    IncompleteData,
-    ParseError,
-    PreconditionViolated,
-    ScaleLimit,
-    SpecalcError,
-    UnknownAtom,
-    UnsupportedAtom,
-    UnsupportedForCycleIndex,
-    ZeroConstantRequired,
-)
+from .errors import DomainError, ParseError, ScaleLimit, SpecalcError
 from .series import DirichletCoeffs, dirichlet_of, dirichlet_power
 
 DEFAULT_MAX_N = 30
 ZINDEX_MAX_N = 10
+# Deepest the parser nests parentheses and the deepest expression tree it
+# builds (a chain of n infix operators is n deep); past it, a ParseError.
+MAX_DEPTH = 100
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SCALE = 4
 EXIT_MISMATCH = 5
-
-_PRECONDITION_ERRORS = (
-    PreconditionViolated,
-    CompositionError,
-    ZeroConstantRequired,
-    DomainError,
-    UnknownAtom,
-    UnsupportedForCycleIndex,
-    UnsupportedAtom,
-    IncompleteData,
-)
-
 
 # -- tokenizer -------------------------------------------------------------------
 
@@ -134,22 +115,32 @@ ATOMS = {
     "Sp": sp.Splus,
 }
 
+# Each call's arguments are its node class's dataclass fields, in order:
+# an ``int`` field takes an integer, any other field an expression.
 CALLS = {
-    "Ek": (("int",), lambda a: sp.Ek(a[0])),
-    "Xpow": (("int",), lambda a: sp.XPow(a[0])),
-    "OnePlusXpow": (("int",), lambda a: sp.OnePlusXPow(a[0])),
-    "necklace": (("int",), lambda a: sp.Necklace(a[0])),
-    "aperiodic": (("int",), lambda a: sp.AperiodicNecklace(a[0])),
-    "deriv": (("expr",), lambda a: sp.Derivative(a[0])),
-    "point": (("expr",), lambda a: sp.Point(a[0])),
-    "plus": (("expr",), lambda a: sp.NonEmpty(a[0])),
-    "hct": (("expr",), lambda a: sp.HCT(a[0])),
-    "aprod": (("expr", "expr"), lambda a: sp.AProd(a[0], a[1])),
-    "maprod": (("expr", "expr"), lambda a: sp.MAProd(a[0], a[1])),
-    "cart": (("expr", "expr"), lambda a: sp.Cartesian(a[0], a[1])),
-    "comp": (("expr", "expr"), lambda a: sp.Subst(a[0], a[1])),
-    "restrict": (("expr", "int"), lambda a: sp.Restrict(a[0], a[1])),
+    "Ek": sp.Ek,
+    "Xpow": sp.XPow,
+    "OnePlusXpow": sp.OnePlusXPow,
+    "necklace": sp.Necklace,
+    "aperiodic": sp.AperiodicNecklace,
+    "deriv": sp.Derivative,
+    "point": sp.Point,
+    "plus": sp.NonEmpty,
+    "hct": sp.HCT,
+    "aprod": sp.AProd,
+    "maprod": sp.MAProd,
+    "cart": sp.Cartesian,
+    "comp": sp.Subst,
+    "restrict": sp.Restrict,
 }
+
+# Source name of every node class but the infix Sum and Prod.
+_NAMES = {cls: name for name, cls in {**ATOMS, **CALLS}.items()} | {sp.One: "1"}
+
+
+def _int_field(f) -> bool:
+    return f.type in (int, "int")
+
 
 _EXPR_START = ("an atom (X, 1, E, Ep, L, Lp, C, S, Sp)", "a call", "'('")
 
@@ -166,6 +157,7 @@ class _Parser:
         self.src = src
         self.toks = tokenize(src)
         self.i = 0
+        self.nesting = 0  # open parentheses, grouping and call alike
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -175,14 +167,33 @@ class _Parser:
         self.i += 1
         return t
 
-    def fail(self, message, expected=()):
-        t = self.peek()
+    def fail(self, message, expected=(), at=None):
+        t = at or self.peek()
         raise ParseError(message, t.line, t.col, expected)
 
     def expect(self, kind, what):
         if self.peek().kind != kind:
             self.fail(f"found {self.peek().text!r}" if self.peek().text else "input ended", (what,))
         return self.advance()
+
+    def open_paren(self):
+        if self.nesting == MAX_DEPTH:
+            self.fail(f"parentheses nest deeper than {MAX_DEPTH}")
+        self.nesting += 1
+        self.advance()
+
+    def close_paren(self):
+        self.expect("rparen", "')'")
+        self.nesting -= 1
+
+    def node(self, cls, args, child_spans, start, end, at):
+        """Build a node and its spans; fail at ``at`` if the tree grows too deep."""
+        spans = {(): (start, end)}
+        for i, cs in enumerate(child_spans):
+            spans.update({(i,) + p: v for p, v in cs.items()})
+        if max(map(len, spans)) > MAX_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_DEPTH}", at=at)
+        return cls(*args), spans
 
     def parse(self) -> ParsedProgram:
         node, spans = self.parse_expr()
@@ -191,34 +202,28 @@ class _Parser:
         return ParsedProgram(self.src, node, spans)
 
     def parse_expr(self):
-        node, spans = self.parse_term()
-        while self.peek().kind == "plus":
-            self.advance()
-            rhs, rspans = self.parse_term()
-            node, spans = self._binary(sp.Sum, node, spans, rhs, rspans)
-        return node, spans
+        return self.parse_chain("plus", sp.Sum, self.parse_term)
 
     def parse_term(self):
-        node, spans = self.parse_factor()
-        while self.peek().kind == "star":
-            self.advance()
-            rhs, rspans = self.parse_factor()
-            node, spans = self._binary(sp.Prod, node, spans, rhs, rspans)
-        return node, spans
+        return self.parse_chain("star", sp.Prod, self.parse_factor)
 
-    def _binary(self, cls, left, lspans, right, rspans):
-        node = cls(left, right)
-        spans = {(): (lspans[()][0], rspans[()][1])}
-        spans.update({(0,) + p: v for p, v in lspans.items()})
-        spans.update({(1,) + p: v for p, v in rspans.items()})
+    def parse_chain(self, op, cls, operand):
+        """Left-associated chain of operands joined by one infix operator."""
+        node, spans = operand()
+        while self.peek().kind == op:
+            op_tok = self.advance()
+            rhs, rspans = operand()
+            node, spans = self.node(
+                cls, (node, rhs), (spans, rspans), spans[()][0], rspans[()][1], op_tok
+            )
         return node, spans
 
     def parse_factor(self):
         t = self.peek()
         if t.kind == "lparen":
-            self.advance()
+            self.open_paren()
             node, spans = self.parse_expr()
-            self.expect("rparen", "')'")
+            self.close_paren()
             return node, spans
         if t.kind == "int":
             if t.text == "1":
@@ -242,28 +247,22 @@ class _Parser:
         name = name_tok.text
         if name not in CALLS:
             self.fail(f"unknown call {name!r}", sorted(CALLS))
-        sig, build = CALLS[name]
-        self.expect("lparen", "'('")
+        cls = CALLS[name]
+        self.open_paren()
         args = []
         child_spans = []
-        for idx, kind in enumerate(sig):
+        for idx, f in enumerate(fields(cls)):
             if idx:
                 self.expect("comma", "','")
-            if kind == "int":
-                t = self.expect("int", "an integer")
-                args.append(int(t.text))
-                child_spans.append(None)
+            if _int_field(f):
+                args.append(int(self.expect("int", "an integer").text))
             else:
                 node, spans = self.parse_expr()
                 args.append(node)
                 child_spans.append(spans)
-        close = self.expect("rparen", "')'")
-        node = build(args)
-        spans = {(): (name_tok.pos, close.pos + 1)}
-        expr_children = [cs for cs in child_spans if cs is not None]
-        for i, cs in enumerate(expr_children):
-            spans.update({(i,) + p: v for p, v in cs.items()})
-        return node, spans
+        end = self.peek().pos + 1
+        self.close_paren()
+        return self.node(cls, args, child_spans, name_tok.pos, end, name_tok)
 
 
 def parse(text: str) -> ParsedProgram:
@@ -273,44 +272,8 @@ def parse(text: str) -> ParsedProgram:
 
 # -- canonical printer -------------------------------------------------------------
 
-_ATOM_SRC = {
-    sp.One: "1",
-    sp.X: "X",
-    sp.E: "E",
-    sp.Eplus: "Ep",
-    sp.L: "L",
-    sp.Lplus: "Lp",
-    sp.C: "C",
-    sp.S: "S",
-    sp.Splus: "Sp",
-}
-
-
 def to_source(expr: sp.SpeciesExpr) -> str:
     """Canonical source text; parsing it returns an equal tree."""
-    t = type(expr)
-    if t in _ATOM_SRC:
-        return _ATOM_SRC[t]
-    if isinstance(expr, sp.Ek):
-        return f"Ek({expr.k})"
-    if isinstance(expr, sp.XPow):
-        return f"Xpow({expr.n})"
-    if isinstance(expr, sp.OnePlusXPow):
-        return f"OnePlusXpow({expr.n})"
-    if isinstance(expr, sp.Necklace):
-        return f"necklace({expr.alpha})"
-    if isinstance(expr, sp.AperiodicNecklace):
-        return f"aperiodic({expr.alpha})"
-    if isinstance(expr, sp.Derivative):
-        return f"deriv({to_source(expr.f)})"
-    if isinstance(expr, sp.Point):
-        return f"point({to_source(expr.f)})"
-    if isinstance(expr, sp.NonEmpty):
-        return f"plus({to_source(expr.f)})"
-    if isinstance(expr, sp.Restrict):
-        return f"restrict({to_source(expr.f)}, {expr.n})"
-    if isinstance(expr, sp.HCT):
-        return f"hct({to_source(expr.r)})"
     if isinstance(expr, sp.Sum):
         left = to_source(expr.f)
         right = to_source(expr.g)
@@ -325,15 +288,13 @@ def to_source(expr: sp.SpeciesExpr) -> str:
         if isinstance(expr.g, (sp.Sum, sp.Prod)):
             right = f"({right})"
         return f"{left} * {right}"
-    if isinstance(expr, sp.Cartesian):
-        return f"cart({to_source(expr.f)}, {to_source(expr.g)})"
-    if isinstance(expr, sp.Subst):
-        return f"comp({to_source(expr.f)}, {to_source(expr.g)})"
-    if isinstance(expr, sp.AProd):
-        return f"aprod({to_source(expr.f)}, {to_source(expr.g)})"
-    if isinstance(expr, sp.MAProd):
-        return f"maprod({to_source(expr.f)}, {to_source(expr.g)})"
-    raise DomainError(f"no printable form for {expr!r}")
+    name = _NAMES.get(type(expr))
+    if name is None:
+        raise DomainError(f"no printable form for {expr!r}")
+    args = [getattr(expr, f.name) for f in fields(expr)]
+    if not args:
+        return name
+    return f"{name}({', '.join(str(a) if isinstance(a, int) else to_source(a) for a in args)})"
 
 
 # -- record builders -----------------------------------------------------------------
@@ -360,10 +321,9 @@ def _rat(q: Fraction):
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def _rat_plain(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _rat_plain(r: dict) -> str:
+    """``p/q`` text of a reduced ``{"num", "den"}`` record value; ``p`` when q is 1."""
+    return r["num"] if r["den"] == "1" else f"{r['num']}/{r['den']}"
 
 
 def cmd_counts(expr_text: str, n: int) -> dict:
@@ -496,6 +456,8 @@ def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> d
     elif kind == "mnr":
         if m < 0 or n < 0:
             raise DomainError("m and n must be nonnegative")
+        if m * n > sp.MNR_CELLS:
+            raise ScaleLimit(f"mnr table over {m}x{n} cells exceeds {sp.MNR_CELLS}")
         for r in range(m * n + 1):
             payload_rows.append(
                 {"m": str(m), "n": str(n), "r": str(r), "value": str(sp.mnr_formula(m, n, r))}
@@ -543,11 +505,7 @@ def _flat_rows(record):
     if "type_counts" in payload:
         return ["n", "types"], [[str(i), c] for i, c in enumerate(payload["type_counts"])]
     if "terms" in payload:
-        header = ["n", "term"]
-        return header, [
-            [str(i + 1), _rat_plain(Fraction(int(t["num"]), int(t["den"])))]
-            for i, t in enumerate(payload["terms"])
-        ]
+        return ["n", "term"], [[str(i + 1), _rat_plain(t)] for i, t in enumerate(payload["terms"])]
     if "structures" in payload:
         return ["index", "structure"], [
             [str(i), json.dumps(s)] for i, s in enumerate(payload["structures"])
@@ -557,13 +515,9 @@ def _flat_rows(record):
         if not rows:
             return [], []
         if "partition" in rows[0]:
-            header = ["partition", "fix", "coeff"]
-            out = []
-            for r in rows:
-                fix = Fraction(int(r["fix"]["num"]), int(r["fix"]["den"]))
-                coeff = Fraction(int(r["coeff"]["num"]), int(r["coeff"]["den"]))
-                out.append([r["partition"], _rat_plain(fix), _rat_plain(coeff)])
-            return header, out
+            return ["partition", "fix", "coeff"], [
+                [r["partition"], _rat_plain(r["fix"]), _rat_plain(r["coeff"])] for r in rows
+            ]
         header = list(rows[0])
         return header, [[str(r[h]) for h in header] for r in rows]
     return [], []
@@ -588,9 +542,8 @@ def _format_plain(record) -> str:
     payload = record["payload"]
     if "rows" in payload and payload["rows"] and "partition" in payload["rows"][0]:
         for r in payload["rows"]:
-            fix = Fraction(int(r["fix"]["num"]), int(r["fix"]["den"]))
-            coeff = Fraction(int(r["coeff"]["num"]), int(r["coeff"]["den"]))
-            lines.append(f"{r['partition']}: {_rat_plain(fix)} (monomial coeff {_rat_plain(coeff)})")
+            fix, coeff = _rat_plain(r["fix"]), _rat_plain(r["coeff"])
+            lines.append(f"{r['partition']}: {fix} (monomial coeff {coeff})")
         return "\n".join(lines)
     header, rows = _flat_rows(record)
     for row in rows:
@@ -649,9 +602,6 @@ def main(argv=None) -> int:
     except ScaleLimit as e:
         print(f"scale limit: {e}", file=sys.stderr)
         return EXIT_SCALE
-    except _PRECONDITION_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except SpecalcError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION

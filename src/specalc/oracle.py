@@ -223,29 +223,20 @@ def enumerate_structures(expr, labels):
 @lru_cache(maxsize=None)
 def _enum(expr, labels):
     n = len(labels)
+    expr = sp.core(expr)
     if isinstance(expr, sp.One):
         return (("one",),) if n == 0 else ()
     if isinstance(expr, sp.X):
         return (("x", labels[0]),) if n == 1 else ()
     if isinstance(expr, sp.E):
         return (("set", labels),)
-    if isinstance(expr, sp.Eplus):
-        return (("set", labels),) if n else ()
-    if isinstance(expr, sp.Ek):
-        return (("set", labels),) if n == expr.k else ()
-    if isinstance(expr, (sp.L, sp.Lplus, sp.XPow)):
-        if isinstance(expr, sp.Lplus) and n == 0:
-            return ()
-        if isinstance(expr, sp.XPow) and n != expr.n:
-            return ()
+    if isinstance(expr, sp.L):
         return tuple(("list", p) for p in permutations(labels))
-    if isinstance(expr, (sp.C,)):
+    if isinstance(expr, sp.C):
         if n == 0:
             return ()
         return tuple(("cycle", (labels[0],) + p) for p in permutations(labels[1:]))
-    if isinstance(expr, (sp.S, sp.Splus)):
-        if isinstance(expr, sp.Splus) and n == 0:
-            return ()
+    if isinstance(expr, sp.S):
         return tuple(
             ("perm", tuple(zip(labels, p))) for p in permutations(labels)
         )
@@ -377,17 +368,18 @@ def _block_bijection(bij, part):
 
 
 def _transport(expr, s, bij):
-    if isinstance(expr, (sp.One,)):
+    expr = sp.core(expr)
+    if isinstance(expr, sp.One):
         return s
     if isinstance(expr, sp.X):
         return ("x", _apply(bij, s[1]))
-    if isinstance(expr, (sp.E, sp.Eplus, sp.Ek)):
+    if isinstance(expr, sp.E):
         return ("set", _map_block(bij, s[1]))
-    if isinstance(expr, (sp.L, sp.Lplus, sp.XPow)):
+    if isinstance(expr, sp.L):
         return ("list", tuple(_apply(bij, u) for u in s[1]))
     if isinstance(expr, sp.C):
         return ("cycle", _canon_cycle(tuple(_apply(bij, u) for u in s[1])))
-    if isinstance(expr, (sp.S, sp.Splus)):
+    if isinstance(expr, sp.S):
         pairs = tuple((_apply(bij, a), _apply(bij, b)) for a, b in s[1])
         return ("perm", tuple(sorted(pairs, key=lambda ab: _key(ab[0]))))
     if isinstance(expr, sp.OnePlusXPow):

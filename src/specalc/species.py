@@ -10,11 +10,20 @@ Labelled counts are exact ``int`` tuples, one ``numkit`` count kernel per
 node; ``eval_counts`` asserts that every count is nonnegative.  The
 ``Fraction`` kernels of ``series`` are the independent route the tests
 compare them against.
+
+A new node kind is one frozen dataclass here (its expression-valued fields
+are its ``children``; its count on the empty set is ``_counts(expr, 0)[0]``),
+one entry in the grammar tables of ``dslcli`` (arguments and printing come
+from its fields), and one branch in each of ``_counts``, ``_zi``,
+``oracle._enum`` and ``oracle._transport``.  A node that only abbreviates
+a core form is one ``_SUGAR`` entry instead of those branches: ``Ep``,
+``Lp`` and ``Sp`` are ``plus(E)``, ``plus(L)`` and ``plus(S)``; ``Ek(k)``
+and ``Xpow(n)`` are ``restrict(E, k)`` and ``restrict(L, n)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -212,51 +221,38 @@ class HCT(SpeciesExpr):
 
 
 def children(expr: SpeciesExpr) -> tuple[SpeciesExpr, ...]:
-    if isinstance(expr, (Derivative, Point, NonEmpty, Restrict)):
-        return (expr.f,)
-    if isinstance(expr, (Sum, Prod, Cartesian, Subst, AProd, MAProd)):
-        return (expr.f, expr.g)
-    if isinstance(expr, HCT):
-        return (expr.r,)
-    return ()
+    """The expression-valued fields of the node, in field order."""
+    return tuple(
+        v for v in (getattr(expr, f.name) for f in fields(expr)) if isinstance(v, SpeciesExpr)
+    )
+
+
+# Sugar atoms and the core forms they evaluate as; the evaluators and the
+# oracle see only core forms, while printing keeps the sugar.
+_SUGAR = {
+    Eplus: lambda e: NonEmpty(E()),
+    Lplus: lambda e: NonEmpty(L()),
+    Splus: lambda e: NonEmpty(S()),
+    Ek: lambda e: Restrict(E(), e.k),
+    XPow: lambda e: Restrict(L(), e.n),
+}
+
+
+def core(expr: SpeciesExpr) -> SpeciesExpr:
+    """The core form a sugar atom stands for; any other node is returned as is."""
+    desugar = _SUGAR.get(type(expr))
+    return desugar(expr) if desugar else expr
 
 
 # -- preconditions -------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def empty_count(expr: SpeciesExpr) -> int:
-    """Number of structures on the empty set."""
-    if isinstance(expr, (One, E, L, S, OnePlusXPow)):
-        return 1
-    if isinstance(expr, Ek):
-        return 1 if expr.k == 0 else 0
-    if isinstance(expr, XPow):
-        return 1 if expr.n == 0 else 0
-    if isinstance(expr, (X, Eplus, Lplus, C, Splus, Necklace, AperiodicNecklace)):
-        return 0
-    if isinstance(expr, Sum):
-        return empty_count(expr.f) + empty_count(expr.g)
-    if isinstance(expr, (Prod, Cartesian, MAProd)):
-        return empty_count(expr.f) * empty_count(expr.g)
-    if isinstance(expr, Subst):
-        return empty_count(expr.f)
-    if isinstance(expr, AProd):
-        return 0
-    if isinstance(expr, Derivative):
-        return _counts(expr.f, 1)[1]
-    if isinstance(expr, (Point, NonEmpty, HCT)):
-        return 0
-    if isinstance(expr, Restrict):
-        return empty_count(expr.f) if expr.n == 0 else 0
-    raise DomainError(f"unknown expression node {expr!r}")
-
 
 def validate(expr: SpeciesExpr) -> None:
     """Eagerly check the emptiness preconditions everywhere in the tree.
 
     Arithmetic-product operands and substitution inner operands must have
     no structures on the empty set; the first offender is reported with
-    its node path.
+    its node path.  Children are checked before their parent, so the
+    order-0 counts read here never meet a kernel precondition.
     """
 
     def rec(node, path):
@@ -264,13 +260,13 @@ def validate(expr: SpeciesExpr) -> None:
             rec(ch, path + (i,))
         if isinstance(node, AProd):
             for i, ch in enumerate((node.f, node.g)):
-                if empty_count(ch):
+                if _counts(ch, 0)[0]:
                     raise PreconditionViolated(
                         path + (i,),
                         "arithmetic product operand has structures on the empty set",
                     )
         elif isinstance(node, Subst):
-            if empty_count(node.g):
+            if _counts(node.g, 0)[0]:
                 raise PreconditionViolated(
                     path + (1,),
                     "substitution inner operand has structures on the empty set",
@@ -284,24 +280,17 @@ def validate(expr: SpeciesExpr) -> None:
 @lru_cache(maxsize=None)
 def _counts(expr: SpeciesExpr, order: int) -> tuple[int, ...]:
     """Labelled counts |F[0]| .. |F[order]| on exact integers, one kernel per node."""
+    expr = core(expr)
     if isinstance(expr, One):
         return _only(0, (1,) * (order + 1))
     if isinstance(expr, X):
         return _only(1, (1,) * (order + 1))
     if isinstance(expr, E):
         return (1,) * (order + 1)
-    if isinstance(expr, Eplus):
-        return (0,) + (1,) * order
     if isinstance(expr, (L, S)):
         return tuple(map(nk.factorial, range(order + 1)))
-    if isinstance(expr, (Lplus, Splus)):
-        return (0,) + tuple(map(nk.factorial, range(1, order + 1)))
     if isinstance(expr, C):
         return (0,) + tuple(map(nk.factorial, range(order)))
-    if isinstance(expr, Ek):
-        return _only(expr.k, (1,) * (order + 1))
-    if isinstance(expr, XPow):
-        return _only(expr.n, map(nk.factorial, range(order + 1)))
     if isinstance(expr, OnePlusXPow):
         return tuple(nk.falling(expr.n, m) for m in range(order + 1))
     if isinstance(expr, Necklace):
@@ -372,32 +361,19 @@ def eval_zi(expr: SpeciesExpr, bound: int) -> zi.CycleIndex:
 
 
 def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
+    expr = core(expr)
     if isinstance(expr, One):
         return zi.zi_atom("1", bound)
     if isinstance(expr, X):
         return zi.zi_atom("X", bound)
     if isinstance(expr, E):
         return zi.zi_atom("E", bound)
-    if isinstance(expr, Eplus):
-        return zi.zi_atom("Ep", bound)
     if isinstance(expr, L):
         return zi.zi_atom("L", bound)
-    if isinstance(expr, Lplus):
-        return zi.zi_atom("Lp", bound)
     if isinstance(expr, C):
         return zi.zi_atom("C", bound)
     if isinstance(expr, S):
         return zi.zi_atom("S", bound)
-    if isinstance(expr, Splus):
-        return zi.zi_atom("Sp", bound)
-    if isinstance(expr, Ek):
-        return zi.zi_atom("Ek", bound, k=expr.k)
-    if isinstance(expr, XPow):
-        fix = {}
-        if expr.n <= bound:
-            lam = (expr.n,) if expr.n else ()
-            fix[lam] = nk.factorial(expr.n)
-        return zi.CycleIndex(bound, fix)
     if isinstance(expr, OnePlusXPow):
         fix = {}
         for m in range(min(expr.n, bound) + 1):
@@ -594,6 +570,8 @@ def pr_k_exact(k: int, order: int) -> list[int]:
 
 # Most lattice points one exact box sum of ``pittel_numeric`` may visit.
 PITTEL_BOX_POINTS = 10 ** 6
+# Most cells m*n of a ``table mnr``, whose m*n+1 rows cost O((m*n)^2) big-int work.
+MNR_CELLS = 400
 
 
 def _tail_upper(term, ratio, start):

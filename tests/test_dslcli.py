@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from dataclasses import fields
 
 import pytest
 
@@ -122,6 +124,64 @@ def test_print_parse_roundtrip():
         assert to_source(again.ast) == text
 
 
+def test_every_node_class_has_one_grammar_name_and_round_trips():
+    grammar = [*dslcli.ATOMS.items(), *dslcli.CALLS.items()]
+    grammar += [("1", sp.One), ("+", sp.Sum), ("*", sp.Prod)]
+    classes = sp.SpeciesExpr.__subclasses__()
+    assert len(classes) == 25
+    for cls in classes:
+        assert [c for _, c in grammar].count(cls) == 1, cls
+        args = [2 if dslcli._int_field(f) else sp.Lplus() for f in fields(cls)]
+        expr = cls(*args)
+        text = to_source(expr)
+        assert parse(text).ast == expr, text
+        assert to_source(parse(text).ast) == text
+
+
+def test_sugar_atoms_print_apart_from_their_core_forms():
+    for sugar, text, core_text in [
+        (sp.Eplus(), "Ep", "plus(E)"),
+        (sp.Lplus(), "Lp", "plus(L)"),
+        (sp.Splus(), "Sp", "plus(S)"),
+        (sp.Ek(2), "Ek(2)", "restrict(E, 2)"),
+        (sp.XPow(3), "Xpow(3)", "restrict(L, 3)"),
+    ]:
+        assert to_source(sugar) == text
+        assert to_source(sp.core(sugar)) == core_text
+        assert parse(text).ast != parse(core_text).ast
+
+
+@pytest.mark.parametrize(
+    "expr_text",
+    [
+        "(" * 3000 + "X" + ")" * 3000,
+        "deriv(" * 400 + "X" + ")" * 400,
+        "+".join(["X"] * 3001),
+        "*".join(["X"] * 3001),
+    ],
+    ids=["parens", "deriv", "sum-chain", "prod-chain"],
+)
+def test_nesting_past_max_depth_exits_2_fast(expr_text, capsys):
+    start = time.perf_counter()
+    assert main(["counts", expr_text, "--n", "3"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"deeper than {dslcli.MAX_DEPTH}" in err
+
+
+def test_nesting_at_max_depth_parses_and_errors_point_at_the_excess():
+    depth = dslcli.MAX_DEPTH
+    assert main(["counts", "(" * depth + "X" + ")" * depth, "--n", "2"]) == 0
+    assert main(["counts", "deriv(" * depth + "E" + ")" * depth, "--n", "2"]) == 0
+    assert parse("+".join(["X"] * (depth + 1))).ast is not None
+    with pytest.raises(ParseError) as exc:
+        parse("+".join(["X"] * (depth + 2)))
+    assert exc.value.col == 2 * (depth + 1)  # the operator that makes the chain too deep
+    with pytest.raises(ParseError) as exc:
+        parse("deriv(" * (depth + 1) + "X" + ")" * (depth + 1))
+    assert exc.value.col == 6 * depth + 6  # the parenthesis one past the limit
+
+
 def test_cmd_counts_table1():
     rec = cmd_counts("hct(E)", 10)
     got = [int(v) for v in rec["payload"]["counts"]]
@@ -184,6 +244,13 @@ def test_cmd_table_mnr():
     assert byr["2"] == 2
     assert byr["3"] == 4
     assert byr["4"] == 1
+
+
+def test_mnr_table_past_the_cell_limit_exits_4(capsys):
+    start = time.perf_counter()
+    assert main(["table", "mnr", "--m", "40", "--n", "40"]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "scale limit" in capsys.readouterr().err
 
 
 def test_cmd_table_prect_and_pittel():

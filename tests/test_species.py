@@ -414,3 +414,57 @@ def test_final_example_block_sums():
                 Fraction(1), Fraction(1), rel * max(1, ck[n]), start=1,
             )
             assert lo <= ck[n] <= hi, ("C", k, n)
+
+
+# sugar atoms and the core forms they stand for, written out by hand
+SUGAR = [
+    (sp.Eplus(), sp.NonEmpty(sp.E())),
+    (sp.Lplus(), sp.NonEmpty(sp.L())),
+    (sp.Splus(), sp.NonEmpty(sp.S())),
+    (sp.Ek(0), sp.Restrict(sp.E(), 0)),
+    (sp.Ek(2), sp.Restrict(sp.E(), 2)),
+    (sp.XPow(0), sp.Restrict(sp.L(), 0)),
+    (sp.XPow(3), sp.Restrict(sp.L(), 3)),
+]
+
+
+def test_sugar_atoms_evaluate_as_their_core_forms():
+    assert sp.eval_counts(sp.Eplus(), 4) == [0, 1, 1, 1, 1]
+    assert sp.eval_counts(sp.Ek(2), 4) == [0, 0, 1, 0, 0]
+    assert sp.eval_counts(sp.XPow(3), 4) == [0, 0, 0, 6, 0]
+    labels = (1, 2, 3, 4)
+    sigma = {1: 2, 2: 3, 3: 1, 4: 4}
+    for sugar, core in SUGAR:
+        assert sp.core(sugar) == core
+        assert sp.eval_counts(sugar, 8) == sp.eval_counts(core, 8), sugar
+        assert sp.eval_zi(sugar, 6).fix == sp.eval_zi(core, 6).fix, sugar
+        for n in range(5):
+            got = oracle.enumerate_structures(sugar, labels[:n])
+            assert got == oracle.enumerate_structures(core, labels[:n]), (sugar, n)
+        for s in oracle.enumerate_structures(sugar, labels):
+            assert oracle.transport(sugar, s, sigma) == oracle.transport(core, s, sigma)
+    for expr in (sp.E(), sp.NonEmpty(sp.E()), sp.OnePlusXPow(2), sp.Sum(sp.Eplus(), sp.X())):
+        assert sp.core(expr) is expr
+
+
+def _children_by_hand(expr):
+    if isinstance(expr, (sp.Derivative, sp.Point, sp.NonEmpty, sp.Restrict)):
+        return (expr.f,)
+    if isinstance(expr, (sp.Sum, sp.Prod, sp.Cartesian, sp.Subst, sp.AProd, sp.MAProd)):
+        return (expr.f, expr.g)
+    if isinstance(expr, sp.HCT):
+        return (expr.r,)
+    return ()
+
+
+def test_children_are_the_expression_fields():
+    rng = random.Random(12)
+    seen = set()
+    stack = [rand_any(rng, 3) for _ in range(200)] + [rand_emptyfree(rng, 3) for _ in range(200)]
+    stack += [sp.HCT(sp.E()), sp.Subst(sp.E(), sp.Eplus()), sp.Cartesian(sp.C(), sp.S())]
+    while stack:
+        expr = stack.pop()
+        assert sp.children(expr) == _children_by_hand(expr), expr
+        seen.add(type(expr))
+        stack.extend(sp.children(expr))
+    assert len(seen) == 25
