@@ -8,9 +8,10 @@ Submodules:
 - ``species`` expression trees, evaluators, counting theorems
 - ``oracle``  brute-force set-level enumeration and Fix counts
 - ``dslcli``  expression parser and the ``specalc`` command line
-"""
 
-from . import dslcli, errors, numkit, oracle, series, species, zindex
+Importing the package loads none of them, so ``python -m specalc.dslcli``
+runs the command line module once, as ``__main__``.
+"""
 
 __all__ = ["dslcli", "errors", "numkit", "oracle", "series", "species", "zindex"]
 __version__ = "0.1.0"

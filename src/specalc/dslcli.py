@@ -27,8 +27,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import numkit as nk
 from . import oracle
@@ -382,12 +384,6 @@ def cmd_dirichlet(expr_text: str, n: int) -> dict:
     }
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def cmd_enumerate(expr_text: str, n: int) -> dict:
     """Dump every structure on {1..n} as a tagged tree (the oracle's view)."""
     if n > oracle.ENUM_LIMIT:
@@ -401,7 +397,7 @@ def cmd_enumerate(expr_text: str, n: int) -> dict:
         "order": str(n),
         "payload": {
             "count": str(len(structs)),
-            "structures": [_jsonable(s) for s in structs],
+            "structures": structs,
         },
     }
 
@@ -488,14 +484,89 @@ def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> d
 
 # -- output formatting ----------------------------------------------------------------
 
-def format_record(record: dict, fmt: str) -> str:
+# Characters of JSON gathered before each write to the output stream.
+WRITE_BATCH = 1 << 16
+
+
+def format_record(record: dict, fmt: str, out) -> None:
+    """Write the record to the text stream ``out``, without a final newline."""
     if fmt == "json":
-        return json.dumps(record, indent=2)
-    if fmt == "csv":
-        return _format_csv(record)
-    if fmt == "plain":
-        return _format_plain(record)
-    raise DomainError(f"unknown format {fmt!r}")
+        _write_json(record, out)
+    elif fmt == "csv":
+        out.write(_format_csv(record))
+    elif fmt == "plain":
+        out.write(_format_plain(record))
+    else:
+        raise DomainError(f"unknown format {fmt!r}")
+
+
+def _write_json(record, out):
+    """Write exactly ``json.dumps(record, indent=2)`` in batches of ``WRITE_BATCH``.
+
+    Oracle structures share their substructure tuples (each cycle of
+    ``cart(C, L)`` sits in 720 structures), so the text of each tuple nested
+    in a tuple is rendered once per depth and looked up by ``id``.  The
+    memo lives for this call only, while the record keeps every keyed
+    tuple alive; the outermost structures are unique and are not kept.
+    """
+    memo = {}
+    batch, size = [], 0
+    for chunk in _json_chunks(record, 0, memo):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= WRITE_BATCH:
+            out.write("".join(batch))
+            batch, size = [], 0
+    out.write("".join(batch))
+
+
+def _json_chunks(value, depth, memo):
+    """Text of ``json.dumps(value, indent=2)`` at nesting ``depth``, in pieces."""
+    if not (value and isinstance(value, (dict, list))):
+        yield _json_text(value, depth, memo)
+        return
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        lead = "{" + inner
+        for k, v in value.items():  # records have string keys
+            yield lead + _json_str(k) + ": "
+            yield from _json_chunks(v, depth + 1, memo)
+            lead = "," + inner
+        yield "\n" + "  " * depth + "}"
+    else:
+        lead = "[" + inner
+        for v in value:
+            if v and isinstance(v, (dict, list)):
+                yield lead
+                yield from _json_chunks(v, depth + 1, memo)
+            else:  # one piece per structure of an oracle dump
+                yield lead + _json_text(v, depth + 1, memo)
+            lead = "," + inner
+        yield "\n" + "  " * depth + "]"
+
+
+def _json_text(value, depth, memo):
+    """``_json_chunks`` as one string; the tuples nested in a tuple go through ``memo``."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if not (value and isinstance(value, (tuple, list, dict))):
+        return json.dumps(value)  # None, bool, float, empty containers
+    if not isinstance(value, tuple):
+        return "".join(_json_chunks(value, depth, memo))
+    parts = []
+    for v in value:
+        if v and isinstance(v, tuple):
+            key = (id(v), depth + 1)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = _json_text(v, depth + 1, memo)
+            parts.append(text)
+        else:
+            parts.append(_json_text(v, depth + 1, memo))
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * depth + "]"
 
 
 def _flat_rows(record):
@@ -606,12 +677,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    text = format_record(record, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        format_record(record, args.format, out)
+        out.write("\n")
     if args.command == "check" and not record["payload"]["all_match"]:
         return EXIT_MISMATCH
     return EXIT_OK

@@ -6,8 +6,10 @@ counts of equalities, and oracle dumps reproduce byte for byte.
 
 Labels may be ints, strings, or tuples of labels (blocks of a partition
 act as labels one level up); ``_key`` gives them a single total order.
-Scale limits are the named constants below and raising past them is a
-``ScaleLimit`` error, never silent truncation.
+``canon_labels`` sorts them natively and uses ``_key`` only when the
+native comparison raises ``TypeError``; the two orders agree wherever the
+native one is defined.  Scale limits are the named constants below and
+raising past them is a ``ScaleLimit`` error, never silent truncation.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ ENUM_LIMIT = 8             # largest ground set for structure enumeration / rect
 PARTIAL_CANDIDATES = 2_000_000  # cap on Bell(n)^k tuples scanned for partial rectangles
 MATRIX_CELL_LIMIT = 20     # cap on m*n for 0/1-matrix enumeration
 NECKLACE_ALPHABET_LIMIT = 3
+ENUM_STRUCTURES = 10 ** 6  # cap on the structures one node of an enumeration builds
 
 STAR = "*"  # the label a derivative adjoins; nesting extends it to stay fresh
 
@@ -47,11 +50,24 @@ def _key(v):
 
 
 def canon_labels(labels) -> tuple:
-    return tuple(sorted(labels, key=_key))
+    """The labels in ``_key`` order.
+
+    A native comparison of ints, strings or tuples of them succeeds only
+    where the first differing position holds two ints or two strings, and
+    there it agrees with ``_key``; every mixed comparison raises.  So the
+    native sort, when it finishes, gives the ``_key`` order; it raises only
+    when ints, derivative stars and blocks meet, and ``_key`` sorts those.
+    """
+    labels = list(labels)
+    try:
+        labels.sort()
+    except TypeError:
+        labels.sort(key=_key)
+    return tuple(labels)
 
 
 def canon_partition(blocks) -> tuple:
-    return tuple(sorted((canon_labels(b) for b in blocks), key=_key))
+    return canon_labels([canon_labels(b) for b in blocks])
 
 
 class Rect(NamedTuple):
@@ -224,6 +240,18 @@ def enumerate_structures(expr, labels):
 def _enum(expr, labels):
     n = len(labels)
     expr = sp.core(expr)
+    # an atom the oracle cannot enumerate is reported as such, whatever its size
+    necklace = isinstance(expr, (sp.Necklace, sp.AperiodicNecklace))
+    if necklace and expr.alpha > NECKLACE_ALPHABET_LIMIT:
+        raise UnsupportedAtom(
+            f"necklace alphabet {expr.alpha} exceeds limit {NECKLACE_ALPHABET_LIMIT}"
+        )
+    size = sp._counts(expr, n)[n]
+    if size > ENUM_STRUCTURES:
+        raise ScaleLimit(
+            f"{type(expr).__name__} has {size} structures on {n} labels, "
+            f"past the oracle budget {ENUM_STRUCTURES}"
+        )
     if isinstance(expr, sp.One):
         return (("one",),) if n == 0 else ()
     if isinstance(expr, sp.X):
@@ -246,10 +274,6 @@ def _enum(expr, labels):
             for img in permutations(range(1, expr.n + 1), n)
         )
     if isinstance(expr, (sp.Necklace, sp.AperiodicNecklace)):
-        if expr.alpha > NECKLACE_ALPHABET_LIMIT:
-            raise UnsupportedAtom(
-                f"necklace alphabet {expr.alpha} exceeds limit {NECKLACE_ALPHABET_LIMIT}"
-            )
         if n == 0:
             return ()
         out = []

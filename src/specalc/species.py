@@ -360,6 +360,12 @@ def eval_zi(expr: SpeciesExpr, bound: int) -> zi.CycleIndex:
     return _zi(expr, bound, ())
 
 
+# Most weight bound the cycle-index evaluator raises an operand to: each
+# ``Derivative`` evaluates its operand one weight higher, and the cost grows
+# about 4x per five levels (``deriv^20(E)`` at bound 10 takes half a second).
+ZI_DERIV_BOUND = 30
+
+
 def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
     expr = core(expr)
     if isinstance(expr, One):
@@ -406,6 +412,11 @@ def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
     if isinstance(expr, AProd):
         return zi.zi_aprod(_zi(expr.f, bound, path + (0,)), _zi(expr.g, bound, path + (1,)))
     if isinstance(expr, Derivative):
+        if bound + 1 > ZI_DERIV_BOUND:
+            raise ScaleLimit(
+                f"derivatives raise the cycle-index weight bound to {bound + 1},"
+                f" past {ZI_DERIV_BOUND}"
+            )
         # fix of the derivative at lam is fix of the operand at lam plus one fixed point
         inner = _zi(expr.f, bound + 1, path + (0,))
         return zi.CycleIndex(bound, {

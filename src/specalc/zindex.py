@@ -95,10 +95,11 @@ def zi_zero(bound: int) -> CycleIndex:
     return CycleIndex(bound, {})
 
 
-def zi_atom(name: str, bound: int, k: int | None = None) -> CycleIndex:
+def zi_atom(name: str, bound: int) -> CycleIndex:
     """Cycle index of a named atom, exact to the weight bound.
 
-    Names: ``1 X E Ep Ek L Lp C S Sp``; ``Ek`` needs the extra size k.
+    Names: ``1 X E L C S``.  The sugar atoms (``Ep``, ``Ek(k)``, ...) are
+    restrictions of these, which ``species.eval_zi`` applies.
     """
     fix = {}
     if name == "1":
@@ -106,26 +107,20 @@ def zi_atom(name: str, bound: int, k: int | None = None) -> CycleIndex:
     elif name == "X":
         if bound >= 1:
             fix[(1,)] = 1
-    elif name in ("E", "Ep"):
-        for w in range(0 if name == "E" else 1, bound + 1):
+    elif name == "E":
+        for w in range(bound + 1):
             for lam in nk.int_partitions(w):
                 fix[lam] = 1
-    elif name == "Ek":
-        if k is None or k < 0:
-            raise DomainError("Ek needs a size k >= 0")
-        if k <= bound:
-            for lam in nk.int_partitions(k):
-                fix[lam] = 1
-    elif name in ("L", "Lp"):
-        for n in range(0 if name == "L" else 1, bound + 1):
+    elif name == "L":
+        for n in range(bound + 1):
             fix[(n,) if n else ()] = nk.factorial(n)
     elif name == "C":
         for d in range(1, bound + 1):
             for m in range(1, bound // d + 1):
                 lam = (0,) * (d - 1) + (m,)
                 fix[lam] = nk.euler_phi(d) * d ** (m - 1) * nk.factorial(m - 1)
-    elif name in ("S", "Sp"):
-        for w in range(0 if name == "S" else 1, bound + 1):
+    elif name == "S":
+        for w in range(bound + 1):
             for lam in nk.int_partitions(w):
                 fix[lam] = nk.aut(lam)
     else:

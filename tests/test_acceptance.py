@@ -89,7 +89,7 @@ def test_criterion_04_cycle_index_theorem():
     atoms = {"Ep": sp.Eplus(), "C": sp.C(), "Lp": sp.Lplus(), "Sp": sp.Splus()}
     ok = True
     for (na, ea), (nb, eb) in itertools.product(atoms.items(), repeat=2):
-        za, zb = zi.zi_atom(na, 10), zi.zi_atom(nb, 10)
+        za, zb = sp.eval_zi(ea, 10), sp.eval_zi(eb, 10)
         prod = zi.zi_aprod(za, zb)
         expr = sp.AProd(ea, eb)
         for w in range(6):
@@ -237,7 +237,7 @@ def test_criterion_11_canonical_form_theorem():
             if v:
                 fix[lam] = v
     z_ee = zi.CycleIndex(5, fix)
-    zep = zi.zi_atom("Ep", 5)
+    zep = sp.eval_zi(sp.Eplus(), 5)
     par = zi.zi_plethysm(zi.zi_atom("E", 5), zep)
     ok = ok and zi.zi_plethysm(z_ee, zep) == zi.zi_hadamard(par, par)
     assert report(11, "modified product at e^x-1 is the Hadamard product; index corollary at weight 5, exact", ok)

@@ -1,10 +1,16 @@
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from conftest import rand_any, rand_emptyfree
 from specalc import dslcli, numkit as nk, oracle, species as sp
 from specalc.dslcli import (
     cmd_check,
@@ -18,7 +24,7 @@ from specalc.dslcli import (
     parse,
     to_source,
 )
-from specalc.errors import ParseError
+from specalc.errors import ParseError, ScaleLimit, SpecalcError
 
 
 def test_parse_direct_mapping():
@@ -169,6 +175,36 @@ def test_nesting_past_max_depth_exits_2_fast(expr_text, capsys):
     assert f"deeper than {dslcli.MAX_DEPTH}" in err
 
 
+def test_nested_derivatives_past_the_weight_bound_exit_4_fast(capsys):
+    text = "deriv(" * 100 + "E" + ")" * 100
+    for command in ("types", "zindex"):
+        start = time.perf_counter()
+        assert main([command, text, "--n", "10"]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert f"past {sp.ZI_DERIV_BOUND}" in capsys.readouterr().err
+
+
+def test_derivative_weight_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(sp, "ZI_DERIV_BOUND", 6)
+    twice = sp.Derivative(sp.Derivative(sp.E()))
+    assert sp.type_counts(twice, 4) == [1] * 5
+    with pytest.raises(ScaleLimit):
+        sp.type_counts(twice, 5)
+
+
+def test_module_entry_point_prints_no_warning():
+    src = str(Path(dslcli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "specalc.dslcli", "counts", "E", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[1:] == [f"n={n} count=1" for n in range(4)]
+
+
 def test_nesting_at_max_depth_parses_and_errors_point_at_the_excess():
     depth = dslcli.MAX_DEPTH
     assert main(["counts", "(" * depth + "X" + ")" * depth, "--n", "2"]) == 0
@@ -262,20 +298,89 @@ def test_cmd_table_prect_and_pittel():
     assert abs(float(last["numeric"]) - 3) <= 1e-6
 
 
+def _formatted(record, fmt):
+    buf = io.StringIO()
+    format_record(record, fmt, buf)
+    return buf.getvalue()
+
+
 def test_cmd_enumerate_dumps_tagged_structures():
     rec = dslcli.cmd_enumerate("aprod(Ep, Ep)", 4)
     assert rec["payload"]["count"] == "8"
     tags = {s[0] for s in rec["payload"]["structures"]}
     assert tags == {"aprod"}
-    text = format_record(rec, "json")
-    assert json.loads(text) == rec
+    text = _formatted(rec, "json")
+    assert text == json.dumps(rec, indent=2)
     assert main(["enumerate", "X", "--n", "1"]) == 0
     assert main(["enumerate", "X", "--n", "9"]) == 4
 
 
+def _node_classes(expr):
+    yield type(expr)
+    for child in sp.children(expr):
+        yield from _node_classes(child)
+
+
+def test_json_dump_of_random_enumerations_is_the_stdlib_text():
+    # conftest draws, wrapped so that cart, comp and hct appear too; draws
+    # past 2000 structures or failing a precondition stop at that order
+    rng = random.Random(66)
+    exprs = []
+    for _ in range(30):
+        a, b = rand_any(rng), rand_emptyfree(rng)
+        exprs += [a, b, sp.Cartesian(a, b), sp.Subst(a, b), sp.HCT(b)]
+    seen, dumps = set(), 0
+    for expr in exprs:
+        for n in range(5):
+            try:
+                if sp.eval_counts(expr, n)[n] > 2000:
+                    break
+                rec = dslcli.cmd_enumerate(to_source(expr), n)
+            except SpecalcError:
+                break
+            assert _formatted(rec, "json") == json.dumps(rec, indent=2), (expr, n)
+            seen.update(_node_classes(expr))
+            dumps += 1
+    assert len(seen) == 25
+    assert dumps > 300
+
+
+def test_json_dump_of_every_command_record_is_the_stdlib_text():
+    records = [
+        cmd_counts("comp(L, Ep)", 20),
+        cmd_types("aprod(Ep, Ep)", 8),
+        cmd_zindex("comp(E, Ep)", 6),
+        cmd_zindex("Xpow(5)", 3),  # no rows: an empty list
+        cmd_dirichlet("maprod(C, C)", 12),
+        cmd_check("aprod(C, Lp)", 5),
+        cmd_table("rect", 12),
+        cmd_table("krect", 12, k=3),
+        cmd_table("prect", 8, k=2),
+        cmd_table("mnr", 3, m=2),
+        cmd_table("pittel", 4, k=2),
+    ]
+    assert records[3]["payload"]["rows"] == []
+    for rec in records:
+        assert _formatted(rec, "json") == json.dumps(rec, indent=2), rec["command"]
+    # a dump far past one write batch arrives in bounded writes, same bytes
+    rec = dslcli.cmd_enumerate("cart(C, L)", 5)
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    format_record(rec, "json", out)
+    assert out.getvalue() == json.dumps(rec, indent=2)
+    assert len(sizes) > 1
+    assert all(dslcli.WRITE_BATCH <= size < 2 * dslcli.WRITE_BATCH for size in sizes[:-1])
+
+
 def test_json_format_lossless():
     big = cmd_counts("comp(L, Ep)", 20)
-    text = format_record(big, "json")
+    text = _formatted(big, "json")
     back = json.loads(text)
     assert back == big
     # a 19-digit count survives as a decimal string
@@ -284,8 +389,8 @@ def test_json_format_lossless():
 
 def test_csv_and_plain_formats():
     rec = cmd_counts("E", 3)
-    assert format_record(rec, "csv").splitlines()[0] == "n,count"
-    plain = format_record(rec, "plain")
+    assert _formatted(rec, "csv").splitlines()[0] == "n,count"
+    plain = _formatted(rec, "plain")
     assert plain.splitlines()[1] == "n=0 count=1"
 
 

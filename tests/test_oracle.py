@@ -1,9 +1,13 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from specalc import dslcli
 from specalc import numkit as nk
 from specalc import oracle
 from specalc import species as sp
@@ -19,6 +23,57 @@ def test_set_partitions():
         assert len(oracle.set_partitions(n)) == nk.bell(n)
     with pytest.raises(ScaleLimit):
         oracle.set_partitions(11)
+
+
+# Labels as the oracle meets them: ints, derivative stars and blocks of them.
+_labels = st.recursive(
+    st.integers(-3, 9) | st.text(alphabet="*", min_size=1, max_size=3),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=12,
+)
+
+
+@given(st.lists(_labels, max_size=8))
+def test_canon_labels_is_the_key_order(labels):
+    assert oracle.canon_labels(labels) == tuple(sorted(labels, key=oracle._key))
+    assert oracle.canon_labels(iter(labels)) == tuple(sorted(labels, key=oracle._key))
+
+
+@given(st.lists(st.lists(_labels, max_size=4), max_size=5))
+def test_canon_partition_sorts_sorted_blocks_by_key(blocks):
+    by_key = tuple(
+        sorted((tuple(sorted(b, key=oracle._key)) for b in blocks), key=oracle._key)
+    )
+    assert oracle.canon_partition(blocks) == by_key
+
+
+def test_enumeration_past_the_structure_budget_exits_4_fast(capsys):
+    start = time.perf_counter()
+    assert dslcli.main(["check", "cart(S*S, maprod(S, S))", "--n", "5"]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"past the oracle budget {oracle.ENUM_STRUCTURES}" in err
+    assert "Traceback" not in err
+    # an atom the oracle cannot enumerate is reported as such, however large
+    assert dslcli.main(["enumerate", "necklace(4)", "--n", "7"]) == 3
+    assert "necklace alphabet 4 exceeds limit" in capsys.readouterr().err
+
+
+def test_structure_budget_is_checked_per_node_and_inclusive(monkeypatch):
+    oracle._enum.cache_clear()
+    monkeypatch.setattr(oracle, "ENUM_STRUCTURES", 24)
+    try:
+        assert len(oracle.enumerate_structures(sp.L(), range(4))) == 24
+        # the sum has 48 structures, each summand 24
+        with pytest.raises(ScaleLimit):
+            oracle.enumerate_structures(sp.Sum(sp.L(), sp.S()), range(4))
+        # the cartesian product is empty on 5 labels, but its first factor is not
+        with pytest.raises(ScaleLimit):
+            oracle.enumerate_structures(sp.Cartesian(sp.L(), sp.One()), range(5))
+        # a restriction to another size builds nothing below it
+        assert oracle.enumerate_structures(sp.Restrict(sp.L(), 4), range(5)) == []
+    finally:
+        oracle._enum.cache_clear()
 
 
 def test_partition_axioms():

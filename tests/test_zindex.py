@@ -20,7 +20,7 @@ def test_atom_x():
 
 
 def test_atom_sets():
-    z = zi.zi_atom("Ep", 4)
+    z = sp.eval_zi(sp.Eplus(), 4)
     for w in range(1, 5):
         for lam in nk.int_partitions(w):
             assert z.fix_value(lam) == 1
@@ -29,7 +29,7 @@ def test_atom_sets():
 
 
 def test_atom_permutations():
-    z = zi.zi_atom("Sp", 5)
+    z = sp.eval_zi(sp.Splus(), 5)
     for w in range(1, 6):
         for lam in nk.int_partitions(w):
             assert z.fix_value(lam) == nk.aut(lam)
@@ -47,19 +47,19 @@ def test_atoms_match_oracle_fix():
         "Sp": sp.Splus(),
     }
     for name, expr in atoms.items():
-        z = zi.zi_atom(name, 4)
+        z = sp.eval_zi(expr, 4) if name in ("Ep", "Lp", "Sp") else zi.zi_atom(name, 4)
         for w in range(5):
             for lam in nk.int_partitions(w):
                 assert z.fix_value(lam) == oracle.fix_by_type(expr, lam), (name, lam)
 
 
 def test_atom_ek():
-    z = zi.zi_atom("Ek", 5, k=2)
+    z = sp.eval_zi(sp.Ek(2), 5)
     assert z.fix_value((2,)) == 1
     assert z.fix_value((0, 1)) == 1
     assert z.fix_value((1,)) == 0
     with pytest.raises(DomainError):
-        zi.zi_atom("Ek", 5)
+        sp.eval_zi(sp.Ek(-1), 5)
     with pytest.raises(UnknownAtom):
         zi.zi_atom("Par", 5)
 
@@ -80,14 +80,14 @@ def test_zi_mul():
 
 def test_zi_mul_matches_oracle():
     expr = sp.Prod(sp.Eplus(), sp.C())
-    z = zi.zi_mul(zi.zi_atom("Ep", 4), zi.zi_atom("C", 4))
+    z = zi.zi_mul(sp.eval_zi(sp.Eplus(), 4), zi.zi_atom("C", 4))
     for w in range(5):
         for lam in nk.int_partitions(w):
             assert z.fix_value(lam) == oracle.fix_by_type(expr, lam), lam
 
 
 def test_plethysm_partitions():
-    par = zi.zi_plethysm(zi.zi_atom("E", 6), zi.zi_atom("Ep", 6))
+    par = zi.zi_plethysm(zi.zi_atom("E", 6), sp.eval_zi(sp.Eplus(), 6))
     assert zi.zi_to_egf(par, 6).counts() == [nk.bell(n) for n in range(7)]
     expr = sp.Subst(sp.E(), sp.Eplus())
     for w in range(5):
@@ -108,7 +108,7 @@ def test_zi_hadamard():
     ze = zi.zi_atom("E", 5)
     p = zi.zi_atom("C", 5)
     assert zi.zi_hadamard(ze, p) == p
-    sq = zi.zi_hadamard(zi.zi_atom("Sp", 5), zi.zi_atom("Sp", 5))
+    sq = zi.zi_hadamard(sp.eval_zi(sp.Splus(), 5), sp.eval_zi(sp.Splus(), 5))
     assert sq.fix_value((2,)) == 4
     assert zi.zi_hadamard(p, zi.zi_zero(5)) == zi.zi_zero(5)
 
@@ -131,7 +131,7 @@ def test_box_type_weight_multiplies():
 
 
 def test_zi_aprod_rectangles():
-    zr = zi.zi_aprod(zi.zi_atom("Ep", 5), zi.zi_atom("Ep", 5))
+    zr = zi.zi_aprod(sp.eval_zi(sp.Eplus(), 5), sp.eval_zi(sp.Eplus(), 5))
     assert zr.fix_value((4,)) == 8
     zx = zi.zi_atom("X", 5)
     p = zi.zi_atom("C", 5)
@@ -153,7 +153,7 @@ def test_zi_aprod_single_coefficient():
 def test_zi_aprod_matches_oracle_fix():
     atoms = {"Ep": sp.Eplus(), "C": sp.C(), "Lp": sp.Lplus(), "Sp": sp.Splus()}
     for (na, ea), (nb, eb) in itertools.product(atoms.items(), repeat=2):
-        z = zi.zi_aprod(zi.zi_atom(na, 5), zi.zi_atom(nb, 5))
+        z = zi.zi_aprod(sp.eval_zi(ea, 5), sp.eval_zi(eb, 5))
         expr = sp.AProd(ea, eb)
         for w in range(6):
             for lam in nk.int_partitions(w):
@@ -172,16 +172,16 @@ def test_specializations():
         [0] + [Fraction(1, n) for n in range(1, 9)]
     )
     assert zi.zi_to_ogf(zi.zi_atom("E", 8), 8) == se.TruncSeries.geometric(8)
-    dd = zi.zi_to_ogf(zi.zi_aprod(zi.zi_atom("Lp", 8), zi.zi_atom("Lp", 8)), 8)
+    dd = zi.zi_to_ogf(zi.zi_aprod(sp.eval_zi(sp.Lplus(), 8), sp.eval_zi(sp.Lplus(), 8)), 8)
     assert [int(c) for c in dd.coeffs] == [0] + [nk.tau(n) for n in range(1, 9)]
     with pytest.raises(DomainError):
         zi.zi_to_egf(zi.zi_atom("E", 3), 5)
 
 
 def test_specializations_commute_with_aprod():
-    names = ("Ep", "C", "Lp", "Sp")
-    for na, nb in itertools.product(names, repeat=2):
-        pa, pb = zi.zi_atom(na, 10), zi.zi_atom(nb, 10)
+    atoms = (sp.Eplus(), sp.C(), sp.Lplus(), sp.Splus())
+    for ea, eb in itertools.product(atoms, repeat=2):
+        pa, pb = sp.eval_zi(ea, 10), sp.eval_zi(eb, 10)
         prod = zi.zi_aprod(pa, pb)
         assert zi.zi_to_egf(prod, 10) == se.aprod_egf(zi.zi_to_egf(pa, 10), zi.zi_to_egf(pb, 10))
         assert zi.zi_to_ogf(prod, 10) == se.aprod_ogf(zi.zi_to_ogf(pa, 10), zi.zi_to_ogf(pb, 10))
@@ -243,7 +243,7 @@ def test_canf_cycle_index_corollary():
             if v:
                 fix[lam] = v
     z_ee = CycleIndex(bound, fix)
-    zep = zi.zi_atom("Ep", bound)
+    zep = sp.eval_zi(sp.Eplus(), bound)
     lhs = zi.zi_plethysm(z_ee, zep)
     par = zi.zi_plethysm(zi.zi_atom("E", bound), zep)
     assert lhs == zi.zi_hadamard(par, par)
@@ -295,11 +295,11 @@ def test_kernels_pair_only_terms_within_the_bound(monkeypatch):
     monkeypatch.setattr(zi, "_mono_mul", counted_mono_mul)
     monkeypatch.setattr(zi, "_add_mult", checked_add_mult)
     monkeypatch.setattr(zi, "box_type", checked_box)
-    par = zi.zi_plethysm(zi.zi_atom("E", bound), zi.zi_atom("Ep", bound))
+    par = zi.zi_plethysm(zi.zi_atom("E", bound), sp.eval_zi(sp.Eplus(), bound))
     # at most one product per nonempty partition of weight <= 10
     assert sum(len(nk.int_partitions(w)) for w in range(1, bound + 1)) == 138
     assert len(calls) <= 138
     assert set(calls) == {bound}
     zi.zi_mul(par, zi.zi_atom("C", bound))
-    zi.zi_aprod(zi.zi_atom("Sp", bound), zi.zi_atom("Ep", bound))
+    zi.zi_aprod(sp.eval_zi(sp.Splus(), bound), sp.eval_zi(sp.Eplus(), bound))
     assert pairs and max(pairs) <= bound
