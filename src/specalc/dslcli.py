@@ -16,8 +16,10 @@ species product and binds tighter than ``+``.  Parentheses and the
 expression tree may nest at most ``MAX_DEPTH`` deep.
 
 The CLI prints machine-readable records (json, csv or plain text) and
-exits with 0 on success, 2 on parse errors (nesting past ``MAX_DEPTH``
-included), 3 on precondition/domain errors, 4 on scale limits, 5 when a
+exits with 0 on success, 2 on parse errors (nesting past ``MAX_DEPTH`` and
+integers past the interpreter's digit limit included), 3 on
+precondition/domain errors and an ``--out`` file that cannot be opened, 4
+on scale limits (a record integer too long to print included), 5 when a
 check finds a mismatch.
 """
 
@@ -36,8 +38,7 @@ from . import numkit as nk
 from . import oracle
 from . import species as sp
 from . import zindex as zi
-from .errors import DomainError, ParseError, ScaleLimit, SpecalcError
-from .series import DirichletCoeffs, dirichlet_of, dirichlet_power
+from .errors import DomainError, ParseError, ScaleLimit, SpecalcError, ZeroConstantRequired
 
 DEFAULT_MAX_N = 30
 ZINDEX_MAX_N = 10
@@ -83,9 +84,9 @@ def tokenize(src: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not str.isdigit, which takes digits such as "²" too
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
             toks.append(Token("int", src[i:j], i, line, col))
             col += j - i
@@ -257,7 +258,11 @@ class _Parser:
             if idx:
                 self.expect("comma", "','")
             if _int_field(f):
-                args.append(int(self.expect("int", "an integer").text))
+                t = self.expect("int", "an integer")
+                try:
+                    args.append(int(t.text))
+                except ValueError:  # past the interpreter's str-to-int digit limit
+                    self.fail(f"integer past the {sys.get_int_max_str_digits()}-digit limit", at=t)
             else:
                 node, spans = self.parse_expr()
                 args.append(node)
@@ -319,8 +324,18 @@ def _check_order(n: int, kind: str = "series"):
         raise DomainError(f"order {n} exceeds the configured maximum {cap}")
 
 
+def _dec(v: int) -> str:
+    """Decimal text of a record integer; ScaleLimit past the interpreter's digit limit."""
+    try:
+        return str(v)
+    except ValueError:
+        raise ScaleLimit(
+            f"record integer past the interpreter's {sys.get_int_max_str_digits()}-digit limit"
+        ) from None
+
+
 def _rat(q: Fraction):
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+    return {"num": _dec(q.numerator), "den": _dec(q.denominator)}
 
 
 def _rat_plain(r: dict) -> str:
@@ -336,7 +351,7 @@ def cmd_counts(expr_text: str, n: int) -> dict:
         "command": "counts",
         "expression": to_source(prog.ast),
         "order": str(n),
-        "payload": {"counts": [str(c) for c in counts]},
+        "payload": {"counts": [_dec(c) for c in counts]},
     }
 
 
@@ -348,7 +363,7 @@ def cmd_types(expr_text: str, n: int) -> dict:
         "command": "types",
         "expression": to_source(prog.ast),
         "order": str(n),
-        "payload": {"type_counts": [str(c) for c in counts]},
+        "payload": {"type_counts": [_dec(c) for c in counts]},
     }
 
 
@@ -375,7 +390,10 @@ def cmd_zindex(expr_text: str, n: int) -> dict:
 def cmd_dirichlet(expr_text: str, n: int) -> dict:
     _check_order(n)
     prog = parse(expr_text)
-    terms = dirichlet_of(sp.eval_egf(prog.ast, n)).terms
+    counts = sp.eval_counts(prog.ast, n)
+    if counts[0]:
+        raise ZeroConstantRequired("arithmetic product operand has a nonzero constant term")
+    terms = [Fraction(c, nk.factorial(m)) for m, c in enumerate(counts) if m]
     return {
         "command": "dirichlet",
         "expression": to_source(prog.ast),
@@ -427,28 +445,24 @@ def cmd_check(expr_text: str, n: int) -> dict:
 
 def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> dict:
     payload_rows = []
+    # Rectangles are the arithmetic square of Ep, k-rectangles its k-th power.
     if kind == "rect":
         _check_order(n)
+        power = nk.aprod_power((0,) + (1,) * n, 2)
         for i in range(1, n + 1):
-            total = sum(nk.rect_coeff(i, d) for d in nk.divisors(i))
-            payload_rows.append({"n": str(i), "value": str(total)})
+            payload_rows.append({"n": str(i), "value": _dec(power[i])})
     elif kind == "krect":
         _check_order(n)
         if k < 1:
             raise DomainError("k must be >= 1")
-        # The k-rectangles on an i-set number i! (a^{*k})(i) with a_d = 1/d!.
-        power = dirichlet_power(
-            DirichletCoeffs(Fraction(1, nk.factorial(d)) for d in range(1, n + 1)), k
-        )
+        power = nk.aprod_power((0,) + (1,) * n, k)
         for i in range(1, n + 1):
-            total = power.term(i) * nk.factorial(i)
-            assert total.denominator == 1
-            payload_rows.append({"n": str(i), "k": str(k), "value": str(total)})
+            payload_rows.append({"n": str(i), "k": str(k), "value": _dec(power[i])})
     elif kind == "prect":
         _check_order(n)
         counts = sp.pr_k_exact(k, n)
         for i, v in enumerate(counts):
-            payload_rows.append({"n": str(i), "k": str(k), "value": str(v)})
+            payload_rows.append({"n": str(i), "k": str(k), "value": _dec(v)})
     elif kind == "mnr":
         if m < 0 or n < 0:
             raise DomainError("m and n must be nonnegative")
@@ -677,7 +691,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+    try:
+        target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    with target as out:
         format_record(record, args.format, out)
         out.write("\n")
     if args.command == "check" and not record["payload"]["all_match"]:

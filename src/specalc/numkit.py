@@ -16,6 +16,7 @@ The count kernels at the end take labelled count sequences |F[0]|, |F[1]|,
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from math import comb
 from operator import mul
@@ -27,23 +28,14 @@ def factorial(n: int) -> int:
     """n! for n >= 0."""
     if n < 0:
         raise DomainError(f"factorial of negative argument {n}")
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) for n >= 0; zero when k < 0 or k > n."""
     if n < 0:
         raise DomainError(f"binomial with negative upper argument {n}")
-    if k < 0 or k > n:
-        return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    return comb(n, k) if k >= 0 else 0
 
 
 def falling(m: int, n: int) -> int:
@@ -304,6 +296,18 @@ def aprod_counts(f, g) -> tuple[int, ...]:
     if f[0] or g[0]:
         raise ZeroConstantRequired("arithmetic product operand has a nonzero constant term")
     return (0,) + tuple(rect_divisor_sum(m, f, g) for m in range(1, len(f)))
+
+
+def aprod_power(f, k: int) -> tuple[int, ...]:
+    """The k-th arithmetic-product power of f, k >= 0, by squaring; the 0th is X's counts."""
+    out = tuple(int(m == 1) for m in range(len(f)))
+    while k:
+        if k & 1:
+            out = aprod_counts(out, f)
+        k >>= 1
+        if k:
+            f = aprod_counts(f, f)
+    return out
 
 
 def stirling1_transform(a) -> list[int]:

@@ -117,16 +117,6 @@ def is_finest(p) -> bool:
     return all(len(b) == 1 for b in p)
 
 
-def is_rectangle(p, q) -> bool:
-    """Every block of p meets every block of q in exactly one element."""
-    for a in p:
-        sa = set(a)
-        for b in q:
-            if len(sa.intersection(b)) != 1:
-                return False
-    return True
-
-
 # -- rectangles -------------------------------------------------------------------
 
 def _ordered_factorizations(n, k):
@@ -381,10 +371,6 @@ def _apply(bij, u):
 
 def _map_block(bij, block):
     return canon_labels(_apply(bij, u) for u in block)
-
-
-def _map_partition(bij, part):
-    return canon_partition(tuple(_map_block(bij, b) for b in part))
 
 
 def _block_bijection(bij, part):

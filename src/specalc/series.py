@@ -317,23 +317,6 @@ def dirichlet_mul(a: DirichletCoeffs, b: DirichletCoeffs) -> DirichletCoeffs:
     return DirichletCoeffs(out)
 
 
-def dirichlet_delta(order: int) -> DirichletCoeffs:
-    """The convolution identity: a_1 = 1, the rest 0."""
-    return DirichletCoeffs([_ONE] + [_ZERO] * (order - 1))
-
-
-def dirichlet_power(a: DirichletCoeffs, k: int) -> DirichletCoeffs:
-    """The k-th Dirichlet convolution power of a, k >= 0, by repeated squaring."""
-    out = dirichlet_delta(a.order)
-    while k:
-        if k & 1:
-            out = dirichlet_mul(out, a)
-        k >>= 1
-        if k:
-            a = dirichlet_mul(a, a)
-    return out
-
-
 # -- the (1+x) basis and the modified arithmetic product ------------------------
 
 class ShiftedSeries:

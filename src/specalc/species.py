@@ -39,7 +39,7 @@ from .errors import (
     ScaleLimit,
     UnsupportedForCycleIndex,
 )
-from .series import TruncSeries, aprod_egf, exp_series, geom_power
+from .series import TruncSeries
 
 
 # -- the expression tree -------------------------------------------------------
@@ -688,12 +688,12 @@ def _pittel_box_sum(k, n, box):
 # -- the cyclotomic identity -----------------------------------------------------------
 
 def cyclotomic_check(alpha: int, order: int) -> bool:
-    """Verify the colored-cycle factorization at the count and series level.
+    """Verify the colored-cycle factorization on integer counts.
 
     Checks (a) cycles of aperiodic necklaces have the same counts as
-    necklaces, (b) assemblies of necklaces expand both as
-    exp(arithmetic product) and as the product of geometric factors with
-    Lyndon-count exponents, all equal to sum alpha^n x^n.
+    necklaces, (b) the product of the factors (1 - x^n)^(-lyndon(n, alpha))
+    is sum alpha^n x^n, and (c) assemblies of cycles of aperiodic necklaces
+    number n! alpha^n.
     """
     if alpha < 1:
         raise DomainError(f"alpha must be >= 1, got {alpha}")
@@ -701,13 +701,17 @@ def cyclotomic_check(alpha: int, order: int) -> bool:
     octo = eval_counts(AProd(C(), AperiodicNecklace(alpha)), order)
     if octo != neck:
         return False
-    target = TruncSeries(alpha ** n for n in range(order + 1))
-    prod_form = TruncSeries.one(order)
+    target = [alpha ** n for n in range(order + 1)]
+    prod_form = [1] + [0] * order
     for n in range(1, order + 1):
         lam = nk.lyndon_count(n, alpha)
         if lam:
-            prod_form = prod_form * geom_power(n, lam, order)
+            # (1 - x^n)^(-lam) = sum_j C(lam + j - 1, j) x^(nj)
+            prod_form = [
+                sum(nk.binomial(lam + j - 1, j) * prod_form[m - n * j] for j in range(m // n + 1))
+                for m in range(order + 1)
+            ]
     if prod_form != target:
         return False
-    exp_form = exp_series(aprod_egf(_egf(C(), order), _egf(AperiodicNecklace(alpha), order)))
-    return exp_form == target
+    assemblies = eval_counts(Subst(E(), AProd(C(), AperiodicNecklace(alpha))), order)
+    return assemblies == [nk.factorial(n) * t for n, t in enumerate(target)]

@@ -6,12 +6,13 @@ import subprocess
 import sys
 import time
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import rand_any, rand_emptyfree
-from specalc import dslcli, numkit as nk, oracle, species as sp
+from specalc import dslcli, numkit as nk, oracle, series as se, species as sp
 from specalc.dslcli import (
     cmd_check,
     cmd_counts,
@@ -24,7 +25,7 @@ from specalc.dslcli import (
     parse,
     to_source,
 )
-from specalc.errors import ParseError, ScaleLimit, SpecalcError
+from specalc.errors import ParseError, ScaleLimit, SpecalcError, ZeroConstantRequired
 
 
 def test_parse_direct_mapping():
@@ -274,6 +275,52 @@ def test_cmd_table_krect():
     assert rec["payload"]["rows"] == [{"n": "1", "k": "3000", "value": "1"}]
 
 
+def _dirichlet_power(order, k):
+    """k-fold Dirichlet convolution of 1/d!, the Fraction route to k-rectangles."""
+    a = se.DirichletCoeffs(Fraction(1, nk.factorial(d)) for d in range(1, order + 1))
+    out = a
+    for _ in range(k - 1):
+        out = se.dirichlet_mul(out, a)
+    return out
+
+
+def test_krect_and_rect_tables_match_the_dirichlet_power():
+    for k in range(1, 6):
+        for n in range(13):
+            power = _dirichlet_power(n, k)
+            rows = cmd_table("krect", n, k=k)["payload"]["rows"]
+            assert rows == [
+                {"n": str(i), "k": str(k), "value": str(power.term(i) * nk.factorial(i))}
+                for i in range(1, n + 1)
+            ], (k, n)
+    power = _dirichlet_power(12, 3000)
+    values = [int(r["value"]) for r in cmd_table("krect", 12, k=3000)["payload"]["rows"]]
+    assert values == [power.term(i) * nk.factorial(i) for i in range(1, 13)]
+    for n in range(13):
+        square = cmd_table("krect", n, k=2)["payload"]["rows"]
+        assert cmd_table("rect", n)["payload"]["rows"] == [
+            {"n": r["n"], "value": r["value"]} for r in square
+        ]
+    assert main(["table", "rect", "--k", "0", "--n", "6"]) == 0
+
+
+def test_dirichlet_terms_match_the_fraction_route():
+    rng = random.Random(70)
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        for expr in (rand_emptyfree(rng), rand_any(rng)):
+            text = to_source(expr)
+            try:
+                want = se.dirichlet_of(sp.eval_egf(expr, n)).terms
+            except ZeroConstantRequired:
+                with pytest.raises(ZeroConstantRequired):
+                    cmd_dirichlet(text, n)
+                continue
+            assert cmd_dirichlet(text, n)["payload"]["terms"] == [
+                {"num": str(t.numerator), "den": str(t.denominator)} for t in want
+            ], (text, n)
+
+
 def test_cmd_table_mnr():
     rec = cmd_table("mnr", 2, m=2)
     byr = {r["r"]: int(r["value"]) for r in rec["payload"]["rows"]}
@@ -438,3 +485,45 @@ def test_main_out_file(tmp_path, capsys):
     assert data["payload"]["counts"] == ["0", "1", "0"]
     out = capsys.readouterr().out
     assert out == ""
+
+
+def test_out_path_that_cannot_be_opened_exits_3(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "rec.txt", tmp_path):
+        assert main(["counts", "E", "--n", "2", "--out", str(target)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+def test_non_ascii_digits_are_a_parse_error_at_the_character(capsys):
+    for text in ("Ek(\u00b2)", "Ek(\u0661)"):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.col == 4
+        assert main(["counts", text, "--n", "3"]) == 2
+        assert "unexpected character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env, code",
+    [
+        (["counts", f"necklace({10 ** 200})", "--n", "30"], None, 4),
+        (["dirichlet", f"necklace({10 ** 200})", "--n", "30"], None, 4),
+        (["types", f"necklace({10 ** 500})", "--n", "10"], None, 4),
+        (["counts", "L", "--n", "2000"], "2000", 4),
+        (["counts", "Ek(" + "7" * 5000 + ")", "--n", "3"], None, 2),
+    ],
+    ids=["counts", "dirichlet", "types", "max-n", "literal"],
+)
+def test_integers_past_the_digit_limit_exit_cleanly(argv, env, code, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("SPECALC_MAX_N", env)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("scale limit: " if code == 4 else "parse error: ")
+    assert str(sys.get_int_max_str_digits()) in err
+    if code == 2:
+        with pytest.raises(ParseError) as exc:
+            parse(argv[1])
+        assert exc.value.col == 4

@@ -21,6 +21,14 @@ def test_binomial():
     assert nk.binomial(4, -1) == 0
 
 
+def test_aprod_power_is_repeated_aprod_counts():
+    f = (0, 1, 3, 2, 0, 7, 1, 4, 2)
+    power = (0, 1) + (0,) * 7  # the counts of X
+    for k in range(7):
+        assert nk.aprod_power(f, k) == power, k
+        power = nk.aprod_counts(power, f)
+
+
 def test_divisors():
     assert nk.divisors(1) == [1]
     assert nk.divisors(6) == [1, 2, 3, 6]

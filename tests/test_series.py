@@ -143,7 +143,7 @@ def test_dirichlet_of_and_mul():
     assert zeta_sq.term(6) == 4
     assert zeta_sq.terms == tuple(nk.tau(n) for n in range(1, 9))
     a = se.DirichletCoeffs([5, 7, 11])
-    assert se.dirichlet_mul(a, se.dirichlet_delta(3)) == a
+    assert se.dirichlet_mul(a, se.DirichletCoeffs([1, 0, 0])) == a
 
 
 def test_dirichlet_is_ring_homomorphism():

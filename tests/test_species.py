@@ -229,7 +229,7 @@ def test_pittel_numeric():
 
 
 def test_cyclotomic_check():
-    for alpha in (1, 2, 3):
+    for alpha in (1, 2, 3, 4):
         assert sp.cyclotomic_check(alpha, 12)
 
 
