@@ -107,42 +107,13 @@ def tokenize(src: str) -> list[Token]:
 
 # -- parser ----------------------------------------------------------------------
 
-ATOMS = {
-    "X": sp.X,
-    "E": sp.E,
-    "Ep": sp.Eplus,
-    "L": sp.L,
-    "Lp": sp.Lplus,
-    "C": sp.C,
-    "S": sp.S,
-    "Sp": sp.Splus,
-}
-
-# Each call's arguments are its node class's dataclass fields, in order:
-# an ``int`` field takes an integer, any other field an expression.
-CALLS = {
-    "Ek": sp.Ek,
-    "Xpow": sp.XPow,
-    "OnePlusXpow": sp.OnePlusXPow,
-    "necklace": sp.Necklace,
-    "aperiodic": sp.AperiodicNecklace,
-    "deriv": sp.Derivative,
-    "point": sp.Point,
-    "plus": sp.NonEmpty,
-    "hct": sp.HCT,
-    "aprod": sp.AProd,
-    "maprod": sp.MAProd,
-    "cart": sp.Cartesian,
-    "comp": sp.Subst,
-    "restrict": sp.Restrict,
-}
-
-# Source name of every node class but the infix Sum and Prod.
-_NAMES = {cls: name for name, cls in {**ATOMS, **CALLS}.items()} | {sp.One: "1"}
-
-
-def _int_field(f) -> bool:
-    return f.type in (int, "int")
+# The grammar is read off the node classes by their ``name``: a class with
+# no fields is an atom, any other but the infix Sum and Prod a call whose
+# arguments are its fields, in order (``sp.int_field`` tells an integer
+# argument from an expression).
+_PREFIX_NODES = [cls for cls in sp.SpeciesExpr.__subclasses__() if cls not in (sp.Sum, sp.Prod)]
+ATOMS = {cls.name: cls for cls in _PREFIX_NODES if not fields(cls)}
+CALLS = {cls.name: cls for cls in _PREFIX_NODES if fields(cls)}
 
 
 _EXPR_START = ("an atom (X, 1, E, Ep, L, Lp, C, S, Sp)", "a call", "'('")
@@ -229,9 +200,9 @@ class _Parser:
             self.close_paren()
             return node, spans
         if t.kind == "int":
-            if t.text == "1":
+            if t.text in ATOMS:  # the atom 1
                 self.advance()
-                return sp.One(), {(): (t.pos, t.pos + 1)}
+                return ATOMS[t.text](), {(): (t.pos, t.pos + len(t.text))}
             self.fail(f"found number {t.text!r}", _EXPR_START)
         if t.kind == "name":
             self.advance()
@@ -257,7 +228,7 @@ class _Parser:
         for idx, f in enumerate(fields(cls)):
             if idx:
                 self.expect("comma", "','")
-            if _int_field(f):
+            if sp.int_field(f):
                 t = self.expect("int", "an integer")
                 try:
                     args.append(int(t.text))
@@ -281,27 +252,20 @@ def parse(text: str) -> ParsedProgram:
 
 def to_source(expr: sp.SpeciesExpr) -> str:
     """Canonical source text; parsing it returns an equal tree."""
-    if isinstance(expr, sp.Sum):
-        left = to_source(expr.f)
-        right = to_source(expr.g)
-        if isinstance(expr.g, sp.Sum):
-            right = f"({right})"
-        return f"{left} + {right}"
-    if isinstance(expr, sp.Prod):
-        left = to_source(expr.f)
-        right = to_source(expr.g)
-        if isinstance(expr.f, sp.Sum):
-            left = f"({left})"
-        if isinstance(expr.g, (sp.Sum, sp.Prod)):
-            right = f"({right})"
-        return f"{left} * {right}"
-    name = _NAMES.get(type(expr))
-    if name is None:
+    if not isinstance(expr, sp.SpeciesExpr):
         raise DomainError(f"no printable form for {expr!r}")
+    if isinstance(expr, (sp.Sum, sp.Prod)):
+        # both associate to the left, and * binds tighter than +
+        left, right = to_source(expr.f), to_source(expr.g)
+        if isinstance(expr, sp.Prod) and isinstance(expr.f, sp.Sum):
+            left = f"({left})"
+        if isinstance(expr.g, (sp.Sum, type(expr))):
+            right = f"({right})"
+        return f"{left} {expr.name} {right}"
     args = [getattr(expr, f.name) for f in fields(expr)]
     if not args:
-        return name
-    return f"{name}({', '.join(str(a) if isinstance(a, int) else to_source(a) for a in args)})"
+        return expr.name
+    return f"{expr.name}({', '.join(str(a) if isinstance(a, int) else to_source(a) for a in args)})"
 
 
 # -- record builders -----------------------------------------------------------------
@@ -324,14 +288,18 @@ def _check_order(n: int, kind: str = "series"):
         raise DomainError(f"order {n} exceeds the configured maximum {cap}")
 
 
+def _too_long() -> ScaleLimit:
+    return ScaleLimit(
+        f"record integer past the interpreter's {sys.get_int_max_str_digits()}-digit limit"
+    )
+
+
 def _dec(v: int) -> str:
     """Decimal text of a record integer; ScaleLimit past the interpreter's digit limit."""
     try:
         return str(v)
     except ValueError:
-        raise ScaleLimit(
-            f"record integer past the interpreter's {sys.get_int_max_str_digits()}-digit limit"
-        ) from None
+        raise _too_long() from None
 
 
 def _rat(q: Fraction):
@@ -343,28 +311,22 @@ def _rat_plain(r: dict) -> str:
     return r["num"] if r["den"] == "1" else f"{r['num']}/{r['den']}"
 
 
+def _record(command: str, expression: str, n: int, payload: dict) -> dict:
+    return {"command": command, "expression": expression, "order": str(n), "payload": payload}
+
+
 def cmd_counts(expr_text: str, n: int) -> dict:
     _check_order(n)
     prog = parse(expr_text)
     counts = sp.eval_counts(prog.ast, n)
-    return {
-        "command": "counts",
-        "expression": to_source(prog.ast),
-        "order": str(n),
-        "payload": {"counts": [_dec(c) for c in counts]},
-    }
+    return _record("counts", to_source(prog.ast), n, {"counts": [_dec(c) for c in counts]})
 
 
 def cmd_types(expr_text: str, n: int) -> dict:
     _check_order(n, "zindex")
     prog = parse(expr_text)
     counts = sp.type_counts(prog.ast, n)
-    return {
-        "command": "types",
-        "expression": to_source(prog.ast),
-        "order": str(n),
-        "payload": {"type_counts": [_dec(c) for c in counts]},
-    }
+    return _record("types", to_source(prog.ast), n, {"type_counts": [_dec(c) for c in counts]})
 
 
 def cmd_zindex(expr_text: str, n: int) -> dict:
@@ -379,12 +341,7 @@ def cmd_zindex(expr_text: str, n: int) -> dict:
         }
         for lam, fix, coeff in index.rows()
     ]
-    return {
-        "command": "zindex",
-        "expression": to_source(prog.ast),
-        "order": str(n),
-        "payload": {"rows": rows},
-    }
+    return _record("zindex", to_source(prog.ast), n, {"rows": rows})
 
 
 def cmd_dirichlet(expr_text: str, n: int) -> dict:
@@ -394,12 +351,7 @@ def cmd_dirichlet(expr_text: str, n: int) -> dict:
     if counts[0]:
         raise ZeroConstantRequired("arithmetic product operand has a nonzero constant term")
     terms = [Fraction(c, nk.factorial(m)) for m, c in enumerate(counts) if m]
-    return {
-        "command": "dirichlet",
-        "expression": to_source(prog.ast),
-        "order": str(n),
-        "payload": {"terms": [_rat(t) for t in terms]},
-    }
+    return _record("dirichlet", to_source(prog.ast), n, {"terms": [_rat(t) for t in terms]})
 
 
 def cmd_enumerate(expr_text: str, n: int) -> dict:
@@ -409,15 +361,9 @@ def cmd_enumerate(expr_text: str, n: int) -> dict:
     _check_order(n)
     prog = parse(expr_text)
     structs = oracle.enumerate_structures(prog.ast, range(1, n + 1))
-    return {
-        "command": "enumerate",
-        "expression": to_source(prog.ast),
-        "order": str(n),
-        "payload": {
-            "count": str(len(structs)),
-            "structures": structs,
-        },
-    }
+    return _record(
+        "enumerate", to_source(prog.ast), n, {"count": str(len(structs)), "structures": structs}
+    )
 
 
 def cmd_check(expr_text: str, n: int) -> dict:
@@ -435,12 +381,7 @@ def cmd_check(expr_text: str, n: int) -> dict:
         rows.append(
             {"n": str(m), "eval": str(counts[m]), "oracle": str(got), "match": ok}
         )
-    return {
-        "command": "check",
-        "expression": to_source(prog.ast),
-        "order": str(n),
-        "payload": {"rows": rows, "all_match": all_match},
-    }
+    return _record("check", to_source(prog.ast), n, {"rows": rows, "all_match": all_match})
 
 
 def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> dict:
@@ -460,6 +401,11 @@ def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> d
             payload_rows.append({"n": str(i), "k": str(k), "value": _dec(power[i])})
     elif kind == "prect":
         _check_order(n)
+        # the count at n is at least Bell(n)^(k-1) (the first partition the finest,
+        # the others free); past the digit limit, stop before the Stirling transform
+        digits = sys.get_int_max_str_digits()
+        if digits and (k - 1) * (nk.bell(n).bit_length() - 1) >= (10 ** digits).bit_length():
+            raise _too_long()
         counts = sp.pr_k_exact(k, n)
         for i, v in enumerate(counts):
             payload_rows.append({"n": str(i), "k": str(k), "value": _dec(v)})
@@ -474,9 +420,12 @@ def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> d
             )
     elif kind == "pittel":
         _check_order(n)
+        if k < 1:
+            raise DomainError(f"need k >= 1, got {k}")
+        # the numeric sums check their box sizes before the exact values are formed
+        numeric = [sp.pittel_numeric(k, i, tol) for i in range(n + 1)]
         exact = sp.pr_k_exact(k, n)
-        for i in range(n + 1):
-            value, bound = sp.pittel_numeric(k, i, tol)
+        for i, (value, bound) in enumerate(numeric):
             payload_rows.append(
                 {
                     "n": str(i),
@@ -488,12 +437,7 @@ def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> d
             )
     else:
         raise DomainError(f"unknown table kind {kind!r}")
-    return {
-        "command": f"table {kind}",
-        "expression": "",
-        "order": str(n),
-        "payload": {"rows": payload_rows},
-    }
+    return _record(f"table {kind}", "", n, {"rows": payload_rows})
 
 
 # -- output formatting ----------------------------------------------------------------
@@ -655,12 +599,10 @@ def _build_argparser():
         common(sub.add_parser(name))
     pt = sub.add_parser("table")
     pt.add_argument("kind", choices=("rect", "krect", "prect", "mnr", "pittel"))
-    pt.add_argument("--n", type=int, required=True)
+    common(pt, needs_expr=False)
     pt.add_argument("--k", type=int, default=2)
     pt.add_argument("--m", type=int, default=2)
     pt.add_argument("--tol", type=float, default=1e-6)
-    pt.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-    pt.add_argument("--out", help="write the record to this file instead of stdout")
     return ap
 
 

@@ -180,17 +180,32 @@ def k_rectangles(n: int, k: int):
     return list(_k_rectangles_of(tuple(range(1, n + 1)), k))
 
 
+def _k_partial_rectangles_of(labels, k):
+    """The k-tuples of partitions of the canonical labels whose meet is the finest.
+
+    The meet is the finest partition exactly when no two labels share a
+    block in every partition, that is when each label's tuple of block
+    indices is distinct; no meet is formed.  Tuples come in
+    ``product(parts, repeat=k)`` order.
+    """
+    parts = partitions_of(labels)
+    codes = []  # the block index of each label, in label order, per partition
+    for p in parts:
+        block_of = {u: j for j, b in enumerate(p) for u in b}
+        codes.append(tuple(block_of[u] for u in labels))
+    return [
+        tuple(parts[i] for i in tup)
+        for tup in product(range(len(parts)), repeat=k)
+        if len(set(zip(*(codes[i] for i in tup)))) == len(labels)
+    ]
+
+
 def partial_rectangles_of(labels):
     labels = canon_labels(labels)
     parts = partitions_of(labels)
     if len(parts) ** 2 > PARTIAL_CANDIDATES:
         raise ScaleLimit(f"{len(parts)}^2 partition pairs exceed limit {PARTIAL_CANDIDATES}")
-    return [
-        Rect(p, q)
-        for p in parts
-        for q in parts
-        if is_finest(meet(p, q))
-    ]
+    return [Rect(p, q) for p, q in _k_partial_rectangles_of(labels, 2)]
 
 
 def partial_rectangles(n: int):
@@ -203,14 +218,7 @@ def k_partial_rectangles(n: int, k: int):
     parts = set_partitions(n)
     if len(parts) ** k > PARTIAL_CANDIDATES:
         raise ScaleLimit(f"{len(parts)}^{k} partition tuples exceed limit {PARTIAL_CANDIDATES}")
-    out = []
-    for tup in product(parts, repeat=k):
-        m = tup[0]
-        for q in tup[1:]:
-            m = meet(m, q)
-        if is_finest(m):
-            out.append(tup)
-    return out
+    return _k_partial_rectangles_of(tuple(range(1, n + 1)), k)
 
 
 # -- structure enumeration -----------------------------------------------------------
@@ -304,20 +312,14 @@ def _enum(expr, labels):
                 for inners in product(*inner_lists):
                     out.append(("subst", part, souter, inners))
         return tuple(out)
-    if isinstance(expr, sp.AProd):
-        out = []
-        for rect in rectangles_of(labels):
-            for m in _enum(expr.f, canon_labels(rect.pi)):
-                for t in _enum(expr.g, canon_labels(rect.tau)):
-                    out.append(("aprod", rect.pi, rect.tau, m, t))
-        return tuple(out)
-    if isinstance(expr, sp.MAProd):
-        out = []
-        for rect in partial_rectangles_of(labels):
-            for m in _enum(expr.f, canon_labels(rect.pi)):
-                for t in _enum(expr.g, canon_labels(rect.tau)):
-                    out.append(("maprod", rect.pi, rect.tau, m, t))
-        return tuple(out)
+    if isinstance(expr, (sp.AProd, sp.MAProd)):
+        rects = rectangles_of if isinstance(expr, sp.AProd) else partial_rectangles_of
+        return tuple(
+            (expr.name, rect.pi, rect.tau, m, t)
+            for rect in rects(labels)
+            for m in _enum(expr.f, canon_labels(rect.pi))
+            for t in _enum(expr.g, canon_labels(rect.tau))
+        )
     if isinstance(expr, sp.Derivative):
         star = _fresh_star(labels)
         return tuple(

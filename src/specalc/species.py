@@ -11,14 +11,17 @@ node; ``eval_counts`` asserts that every count is nonnegative.  The
 ``Fraction`` kernels of ``series`` are the independent route the tests
 compare them against.
 
-A new node kind is one frozen dataclass here (its expression-valued fields
-are its ``children``; its count on the empty set is ``_counts(expr, 0)[0]``),
-one entry in the grammar tables of ``dslcli`` (arguments and printing come
-from its fields), and one branch in each of ``_counts``, ``_zi``,
-``oracle._enum`` and ``oracle._transport``.  A node that only abbreviates
-a core form is one ``_SUGAR`` entry instead of those branches: ``Ep``,
-``Lp`` and ``Sp`` are ``plus(E)``, ``plus(L)`` and ``plus(S)``; ``Ek(k)``
-and ``Xpow(n)`` are ``restrict(E, k)`` and ``restrict(L, n)``.
+A new node kind is one frozen dataclass here and one branch in each of
+``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``.  The
+class is the one place the kind is declared: the grammar of ``dslcli``,
+the printer and the argument errors read its source name ``name``, and
+its fields are its arguments (an ``int`` field takes a nonnegative
+integer, any other an expression; the expression-valued ones are its
+``children``).  Its count on the empty set is ``_counts(expr, 0)[0]``.
+A node that only abbreviates a core form is one ``_SUGAR`` entry instead of
+those branches: ``Ep``, ``Lp`` and ``Sp`` are ``plus(E)``, ``plus(L)`` and
+``plus(S)``; ``Ek(k)`` and ``Xpow(n)`` are ``restrict(E, k)`` and
+``restrict(L, n)``.
 """
 
 from __future__ import annotations
@@ -44,124 +47,144 @@ from .series import TruncSeries
 
 # -- the expression tree -------------------------------------------------------
 
+def int_field(f) -> bool:
+    """Whether a node field takes an integer argument; any other field takes an expression."""
+    return f.type in (int, "int")
+
+
 class SpeciesExpr:
-    """Base class for expression nodes; all nodes are frozen and hashable."""
+    """Base class for expression nodes; all nodes are frozen and hashable.
+
+    Each node class declares its source name ``name`` (a class attribute,
+    not a field); every integer field must be nonnegative.
+    """
 
     __slots__ = ()
+
+    def __post_init__(self):
+        for f in fields(self):
+            if int_field(f) and (v := getattr(self, f.name)) < 0:
+                raise DomainError(f"{self.name} needs {f.name} >= 0, got {v}")
 
 
 @dataclass(frozen=True)
 class One(SpeciesExpr):
     """The empty-set species 1."""
 
+    name = "1"
+
 
 @dataclass(frozen=True)
 class X(SpeciesExpr):
     """Singletons."""
+
+    name = "X"
 
 
 @dataclass(frozen=True)
 class E(SpeciesExpr):
     """Sets."""
 
+    name = "E"
+
 
 @dataclass(frozen=True)
 class Eplus(SpeciesExpr):
     """Nonempty sets."""
+
+    name = "Ep"
 
 
 @dataclass(frozen=True)
 class L(SpeciesExpr):
     """Linear orders."""
 
+    name = "L"
+
 
 @dataclass(frozen=True)
 class Lplus(SpeciesExpr):
     """Nonempty linear orders."""
+
+    name = "Lp"
 
 
 @dataclass(frozen=True)
 class C(SpeciesExpr):
     """Oriented cycles."""
 
+    name = "C"
+
 
 @dataclass(frozen=True)
 class S(SpeciesExpr):
     """Permutations."""
+
+    name = "S"
 
 
 @dataclass(frozen=True)
 class Splus(SpeciesExpr):
     """Nonempty permutations."""
 
+    name = "Sp"
+
 
 @dataclass(frozen=True)
 class Ek(SpeciesExpr):
     """Sets of a fixed size k."""
 
+    name = "Ek"
     k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise DomainError(f"Ek needs k >= 0, got {self.k}")
 
 
 @dataclass(frozen=True)
 class XPow(SpeciesExpr):
     """n-th power of the singleton species: sequences of n labels."""
 
+    name = "Xpow"
     n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"Xpow needs n >= 0, got {self.n}")
 
 
 @dataclass(frozen=True)
 class OnePlusXPow(SpeciesExpr):
     """(1+X)^[n]: injective functions into an n-set."""
 
+    name = "OnePlusXpow"
     n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"OnePlusXpow needs n >= 0, got {self.n}")
 
 
 @dataclass(frozen=True)
 class Necklace(SpeciesExpr):
     """Cycles whose beads carry one of alpha colors."""
 
+    name = "necklace"
     alpha: int
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise DomainError(f"necklace needs alpha >= 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
 class AperiodicNecklace(SpeciesExpr):
     """Colored cycles of full period."""
 
+    name = "aperiodic"
     alpha: int
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise DomainError(f"aperiodic needs alpha >= 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
 class Derivative(SpeciesExpr):
+    name = "deriv"
     f: SpeciesExpr
 
 
 @dataclass(frozen=True)
 class Point(SpeciesExpr):
+    name = "point"
     f: SpeciesExpr
 
 
 @dataclass(frozen=True)
 class NonEmpty(SpeciesExpr):
+    name = "plus"
     f: SpeciesExpr
 
 
@@ -169,46 +192,49 @@ class NonEmpty(SpeciesExpr):
 class Restrict(SpeciesExpr):
     """The species concentrated in cardinality n."""
 
+    name = "restrict"
     f: SpeciesExpr
     n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"restrict needs n >= 0, got {self.n}")
 
 
 @dataclass(frozen=True)
 class Sum(SpeciesExpr):
+    name = "+"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
 @dataclass(frozen=True)
 class Prod(SpeciesExpr):
+    name = "*"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
 @dataclass(frozen=True)
 class Cartesian(SpeciesExpr):
+    name = "cart"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
 @dataclass(frozen=True)
 class Subst(SpeciesExpr):
+    name = "comp"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
 @dataclass(frozen=True)
 class AProd(SpeciesExpr):
+    name = "aprod"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
 @dataclass(frozen=True)
 class MAProd(SpeciesExpr):
+    name = "maprod"
     f: SpeciesExpr
     g: SpeciesExpr
 
@@ -217,6 +243,7 @@ class MAProd(SpeciesExpr):
 class HCT(SpeciesExpr):
     """Hyper-cloned rooted trees enriched by r."""
 
+    name = "hct"
     r: SpeciesExpr
 
 
@@ -368,18 +395,8 @@ ZI_DERIV_BOUND = 30
 
 def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
     expr = core(expr)
-    if isinstance(expr, One):
-        return zi.zi_atom("1", bound)
-    if isinstance(expr, X):
-        return zi.zi_atom("X", bound)
-    if isinstance(expr, E):
-        return zi.zi_atom("E", bound)
-    if isinstance(expr, L):
-        return zi.zi_atom("L", bound)
-    if isinstance(expr, C):
-        return zi.zi_atom("C", bound)
-    if isinstance(expr, S):
-        return zi.zi_atom("S", bound)
+    if isinstance(expr, (One, X, E, L, C, S)):
+        return zi.zi_atom(expr.name, bound)
     if isinstance(expr, OnePlusXPow):
         fix = {}
         for m in range(min(expr.n, bound) + 1):
@@ -387,7 +404,7 @@ def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
             fix[lam] = nk.falling(expr.n, m)
         return zi.CycleIndex(bound, fix)
     if isinstance(expr, Necklace):
-        base = zi.zi_atom("C", bound)
+        base = zi.zi_atom(C.name, bound)
         a = expr.alpha
         # a coloring fixed along with the cycle must be constant on the
         # permutation's cycles: multiply by alpha^(number of parts)
@@ -641,16 +658,13 @@ def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
     if not 0 < tol < inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
     tol = Fraction(tol)
+    box = 2 * n + 8
+    _check_box(k, box)
     einv_lo, einv_hi = _einv_enclosure()
     ek_lo, ek_hi = einv_lo ** k, einv_hi ** k
     exact = pr_k_exact(k, n)[n]
     term, ratio = _invfact_term(n), _invfact_ratio(n)
-    box = 2 * n + 8
     while True:
-        if (box + 1) ** k > PITTEL_BOX_POINTS:
-            raise ScaleLimit(
-                f"pittel box sum over {box + 1}^{k} points exceeds {PITTEL_BOX_POINTS}"
-            )
         axis_tail = _tail_upper(term, ratio, box + 1)
         axis_full = _moment_upper(term, ratio, box)
         tail = k * axis_tail * axis_full ** (k - 1)
@@ -660,11 +674,27 @@ def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
         if hi - lo <= tol:
             break
         box *= 2
+        _check_box(k, box)
     mid = (lo + hi) / 2
     half = (hi - lo) / 2
     assert lo <= exact <= hi
     assert abs(mid - exact) <= tol
     return float(mid), float(half)
+
+
+def _check_box(k, box):
+    """ScaleLimit when the k-cube [0..box]^k has more than ``PITTEL_BOX_POINTS`` points.
+
+    The count stops growing once it passes the limit, so a huge k costs
+    a few multiplications, not the digits of (box+1)^k.
+    """
+    points = 1
+    for _ in range(k):
+        points *= box + 1
+        if points > PITTEL_BOX_POINTS:
+            raise ScaleLimit(
+                f"pittel box sum over {box + 1}^{k} points exceeds {PITTEL_BOX_POINTS}"
+            )
 
 
 def _pittel_box_sum(k, n, box):

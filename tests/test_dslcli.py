@@ -133,12 +133,14 @@ def test_print_parse_roundtrip():
 
 def test_every_node_class_has_one_grammar_name_and_round_trips():
     grammar = [*dslcli.ATOMS.items(), *dslcli.CALLS.items()]
-    grammar += [("1", sp.One), ("+", sp.Sum), ("*", sp.Prod)]
+    grammar += [("+", sp.Sum), ("*", sp.Prod)]
     classes = sp.SpeciesExpr.__subclasses__()
     assert len(classes) == 25
+    assert len({cls.name for cls in classes}) == 25
+    assert dict(grammar) == {cls.name: cls for cls in classes}
     for cls in classes:
         assert [c for _, c in grammar].count(cls) == 1, cls
-        args = [2 if dslcli._int_field(f) else sp.Lplus() for f in fields(cls)]
+        args = [2 if sp.int_field(f) else sp.Lplus() for f in fields(cls)]
         expr = cls(*args)
         text = to_source(expr)
         assert parse(text).ast == expr, text
@@ -459,6 +461,33 @@ def test_main_exit_codes(capsys, monkeypatch):
 def test_pittel_box_past_the_point_limit_exits_4(capsys):
     assert main(["table", "pittel", "--k", "8", "--n", "1"]) == 4
     assert "scale limit" in capsys.readouterr().err
+
+
+def test_pittel_box_limit_is_checked_before_the_exact_counts(capsys):
+    # Bell(30)^100000 is never formed: 9^100000 box points already exceed the limit
+    start = time.perf_counter()
+    assert main(["table", "pittel", "--k", "100000", "--n", "30"]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == "scale limit: pittel box sum over 9^100000 points exceeds 1000000\n"
+
+
+def test_prect_past_the_digit_limit_exits_4_before_the_transform(capsys):
+    # at n=2 the value is 2^k - 1: 4300 digits at k=14284, 4301 at k=14285;
+    # from k=14286 the size bound Bell(2)^(k-1) stops it before the transform
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for k, rc in ((14284, 0), (14285, 4), (14286, 4)):
+            assert main(["table", "prect", "--k", str(k), "--n", "2"]) == rc, k
+            err = capsys.readouterr().err
+            if rc:
+                assert err == "scale limit: record integer past the interpreter's 4300-digit limit\n"
+        start = time.perf_counter()
+        assert main(["table", "prect", "--k", "30000", "--n", "30"]) == 4
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_pittel_non_finite_tolerance_exits_3(capsys):

@@ -126,6 +126,24 @@ def test_partial_rectangles():
             assert len(oracle.k_partial_rectangles(n, k)) == sp.pr_k_exact(k, n)[n]
 
 
+def test_partial_rectangle_kernel_matches_the_meet_filter():
+    # the kernel tests block-index tuples; the reference forms every meet
+    for k in (1, 2, 3):
+        for n in range(6):
+            labels = tuple(range(1, n + 1))
+            want = []
+            for tup in itertools.product(oracle.partitions_of(labels), repeat=k):
+                m = tup[0]
+                for q in tup[1:]:
+                    m = oracle.meet(m, q)
+                if oracle.is_finest(m):
+                    want.append(tup)
+            assert oracle._k_partial_rectangles_of(labels, k) == want, (k, n)
+    assert oracle.partial_rectangles(4) == [
+        oracle.Rect(*t) for t in oracle._k_partial_rectangles_of((1, 2, 3, 4), 2)
+    ]
+
+
 def test_enumerate_basics():
     assert len(oracle.enumerate_structures(sp.X(), ["a"])) == 1
     assert oracle.enumerate_structures(sp.X(), []) == []

@@ -54,6 +54,23 @@ def test_aprod_with_xpow_is_substitution():
         assert lhs == rhs, (m, n)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: sp.Ek(-1), "Ek needs k >= 0, got -1"),
+        (lambda: sp.XPow(-2), "Xpow needs n >= 0, got -2"),
+        (lambda: sp.OnePlusXPow(-3), "OnePlusXpow needs n >= 0, got -3"),
+        (lambda: sp.Necklace(-4), "necklace needs alpha >= 0, got -4"),
+        (lambda: sp.AperiodicNecklace(-5), "aperiodic needs alpha >= 0, got -5"),
+        (lambda: sp.Restrict(sp.E(), -6), "restrict needs n >= 0, got -6"),
+    ],
+)
+def test_negative_integer_arguments_are_rejected_by_name(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_preconditions_reported_with_path():
     with pytest.raises(PreconditionViolated) as exc:
         sp.eval_counts(sp.AProd(sp.E(), sp.Lplus()), 3)
