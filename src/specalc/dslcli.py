@@ -30,9 +30,9 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from . import numkit as nk
 from . import oracle
@@ -54,8 +54,7 @@ EXIT_MISMATCH = 5
 
 # -- tokenizer -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -109,18 +108,17 @@ def tokenize(src: str) -> list[Token]:
 
 # The grammar is read off the node classes by their ``name``: a class with
 # no fields is an atom, any other but the infix Sum and Prod a call whose
-# arguments are its fields, in order (``sp.int_field`` tells an integer
-# argument from an expression).
+# arguments are its fields, in order (those in ``int_fields`` take an
+# integer, the others an expression).
 _PREFIX_NODES = [cls for cls in sp.SpeciesExpr.__subclasses__() if cls not in (sp.Sum, sp.Prod)]
-ATOMS = {cls.name: cls for cls in _PREFIX_NODES if not fields(cls)}
-CALLS = {cls.name: cls for cls in _PREFIX_NODES if fields(cls)}
+ATOMS = {cls.name: cls for cls in _PREFIX_NODES if not cls.fields}
+CALLS = {cls.name: cls for cls in _PREFIX_NODES if cls.fields}
 
 
 _EXPR_START = ("an atom (X, 1, E, Ep, L, Lp, C, S, Sp)", "a call", "'('")
 
 
-@dataclass(frozen=True)
-class ParsedProgram:
+class ParsedProgram(NamedTuple):
     source: str
     ast: sp.SpeciesExpr
     spans: dict  # node path tuple -> (start offset, end offset)
@@ -225,10 +223,10 @@ class _Parser:
         self.open_paren()
         args = []
         child_spans = []
-        for idx, f in enumerate(fields(cls)):
+        for idx, f in enumerate(cls.fields):
             if idx:
                 self.expect("comma", "','")
-            if sp.int_field(f):
+            if f in cls.int_fields:
                 t = self.expect("int", "an integer")
                 try:
                     args.append(int(t.text))
@@ -262,10 +260,10 @@ def to_source(expr: sp.SpeciesExpr) -> str:
         if isinstance(expr.g, (sp.Sum, type(expr))):
             right = f"({right})"
         return f"{left} {expr.name} {right}"
-    args = [getattr(expr, f.name) for f in fields(expr)]
-    if not args:
+    if not expr.args:
         return expr.name
-    return f"{expr.name}({', '.join(str(a) if isinstance(a, int) else to_source(a) for a in args)})"
+    args = (str(a) if isinstance(a, int) else to_source(a) for a in expr.args)
+    return f"{expr.name}({', '.join(args)})"
 
 
 # -- record builders -----------------------------------------------------------------

@@ -11,22 +11,21 @@ node; ``eval_counts`` asserts that every count is nonnegative.  The
 ``Fraction`` kernels of ``series`` are the independent route the tests
 compare them against.
 
-A new node kind is one frozen dataclass here and one branch in each of
-``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``.  The
-class is the one place the kind is declared: the grammar of ``dslcli``,
-the printer and the argument errors read its source name ``name``, and
-its fields are its arguments (an ``int`` field takes a nonnegative
-integer, any other an expression; the expression-valued ones are its
-``children``).  Its count on the empty set is ``_counts(expr, 0)[0]``.
-A node that only abbreviates a core form is one ``_SUGAR`` entry instead of
-those branches: ``Ep``, ``Lp`` and ``Sp`` are ``plus(E)``, ``plus(L)`` and
-``plus(S)``; ``Ek(k)`` and ``Xpow(n)`` are ``restrict(E, k)`` and
-``restrict(L, n)``.
+A new node kind is one ``SpeciesExpr`` subclass here and one branch in
+each of ``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``.
+The class is the one place the kind is declared: the grammar of
+``dslcli``, the printer and the argument errors read its source name
+``name``, and its annotated fields are its arguments (an ``int`` field
+takes a nonnegative integer, any other an expression; the
+expression-valued ones are its ``children``).  Its count on the empty
+set is ``_counts(expr, 0)[0]``.  A node that only abbreviates a core form
+is one ``_SUGAR`` entry instead of those branches: ``Ep``, ``Lp`` and
+``Sp`` are ``plus(E)``, ``plus(L)`` and ``plus(S)``; ``Ek(k)`` and
+``Xpow(n)`` are ``restrict(E, k)`` and ``restrict(L, n)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -47,90 +46,101 @@ from .series import TruncSeries
 
 # -- the expression tree -------------------------------------------------------
 
-def int_field(f) -> bool:
-    """Whether a node field takes an integer argument; any other field takes an expression."""
-    return f.type in (int, "int")
-
-
 class SpeciesExpr:
-    """Base class for expression nodes; all nodes are frozen and hashable.
+    """Base class for expression nodes: immutable, hashable values.
 
-    Each node class declares its source name ``name`` (a class attribute,
-    not a field); every integer field must be nonnegative.
+    Each node class declares its source name ``name`` (a class attribute)
+    and its arguments as annotations, in order.  ``fields`` holds their
+    names and ``int_fields`` those annotated ``int``, which must be
+    nonnegative; ``args`` holds an instance's arguments.
     """
 
-    __slots__ = ()
+    def __init_subclass__(cls):
+        # annotations are strings under ``from __future__ import annotations``
+        own = cls.__dict__.get("__annotations__", {})
+        cls.fields = tuple(own)
+        cls.int_fields = tuple(f for f, t in own.items() if t == "int")
 
-    def __post_init__(self):
-        for f in fields(self):
-            if int_field(f) and (v := getattr(self, f.name)) < 0:
-                raise DomainError(f"{self.name} needs {f.name} >= 0, got {v}")
+    def __init__(self, *args):
+        if len(args) != len(self.fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(self.fields)} arguments")
+        vars(self).update(zip(self.fields, args), args=args)
+        for f in self.int_fields:
+            if (v := getattr(self, f)) < 0:
+                raise DomainError(f"{self.name} needs {f} >= 0, got {v}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.args == other.args
+
+    def __hash__(self):
+        return hash(self.args)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={v!r}" for f, v in zip(self.fields, self.args))
+        return f"{type(self).__name__}({inner})"
 
 
-@dataclass(frozen=True)
 class One(SpeciesExpr):
     """The empty-set species 1."""
 
     name = "1"
 
 
-@dataclass(frozen=True)
 class X(SpeciesExpr):
     """Singletons."""
 
     name = "X"
 
 
-@dataclass(frozen=True)
 class E(SpeciesExpr):
     """Sets."""
 
     name = "E"
 
 
-@dataclass(frozen=True)
 class Eplus(SpeciesExpr):
     """Nonempty sets."""
 
     name = "Ep"
 
 
-@dataclass(frozen=True)
 class L(SpeciesExpr):
     """Linear orders."""
 
     name = "L"
 
 
-@dataclass(frozen=True)
 class Lplus(SpeciesExpr):
     """Nonempty linear orders."""
 
     name = "Lp"
 
 
-@dataclass(frozen=True)
 class C(SpeciesExpr):
     """Oriented cycles."""
 
     name = "C"
 
 
-@dataclass(frozen=True)
 class S(SpeciesExpr):
     """Permutations."""
 
     name = "S"
 
 
-@dataclass(frozen=True)
 class Splus(SpeciesExpr):
     """Nonempty permutations."""
 
     name = "Sp"
 
 
-@dataclass(frozen=True)
 class Ek(SpeciesExpr):
     """Sets of a fixed size k."""
 
@@ -138,7 +148,6 @@ class Ek(SpeciesExpr):
     k: int
 
 
-@dataclass(frozen=True)
 class XPow(SpeciesExpr):
     """n-th power of the singleton species: sequences of n labels."""
 
@@ -146,7 +155,6 @@ class XPow(SpeciesExpr):
     n: int
 
 
-@dataclass(frozen=True)
 class OnePlusXPow(SpeciesExpr):
     """(1+X)^[n]: injective functions into an n-set."""
 
@@ -154,7 +162,6 @@ class OnePlusXPow(SpeciesExpr):
     n: int
 
 
-@dataclass(frozen=True)
 class Necklace(SpeciesExpr):
     """Cycles whose beads carry one of alpha colors."""
 
@@ -162,7 +169,6 @@ class Necklace(SpeciesExpr):
     alpha: int
 
 
-@dataclass(frozen=True)
 class AperiodicNecklace(SpeciesExpr):
     """Colored cycles of full period."""
 
@@ -170,25 +176,21 @@ class AperiodicNecklace(SpeciesExpr):
     alpha: int
 
 
-@dataclass(frozen=True)
 class Derivative(SpeciesExpr):
     name = "deriv"
     f: SpeciesExpr
 
 
-@dataclass(frozen=True)
 class Point(SpeciesExpr):
     name = "point"
     f: SpeciesExpr
 
 
-@dataclass(frozen=True)
 class NonEmpty(SpeciesExpr):
     name = "plus"
     f: SpeciesExpr
 
 
-@dataclass(frozen=True)
 class Restrict(SpeciesExpr):
     """The species concentrated in cardinality n."""
 
@@ -197,49 +199,42 @@ class Restrict(SpeciesExpr):
     n: int
 
 
-@dataclass(frozen=True)
 class Sum(SpeciesExpr):
     name = "+"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
 class Prod(SpeciesExpr):
     name = "*"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
 class Cartesian(SpeciesExpr):
     name = "cart"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
 class Subst(SpeciesExpr):
     name = "comp"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
 class AProd(SpeciesExpr):
     name = "aprod"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
 class MAProd(SpeciesExpr):
     name = "maprod"
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
 class HCT(SpeciesExpr):
     """Hyper-cloned rooted trees enriched by r."""
 
@@ -248,10 +243,8 @@ class HCT(SpeciesExpr):
 
 
 def children(expr: SpeciesExpr) -> tuple[SpeciesExpr, ...]:
-    """The expression-valued fields of the node, in field order."""
-    return tuple(
-        v for v in (getattr(expr, f.name) for f in fields(expr)) if isinstance(v, SpeciesExpr)
-    )
+    """The expression-valued arguments of the node, in field order."""
+    return tuple(a for a in expr.args if isinstance(a, SpeciesExpr))
 
 
 # Sugar atoms and the core forms they evaluate as; the evaluators and the
@@ -673,6 +666,11 @@ def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
         hi = ek_hi * (s + tail)
         if hi - lo <= tol:
             break
+        # every term is >= 0, so s and the width, at least (ek_hi - ek_lo) * s, only
+        # grow with the box: past tol no box closes it, so grow until _check_box raises
+        while (ek_hi - ek_lo) * s > tol:
+            box *= 2
+            _check_box(k, box)
         box *= 2
         _check_box(k, box)
     mid = (lo + hi) / 2

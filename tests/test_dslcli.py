@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -140,7 +139,7 @@ def test_every_node_class_has_one_grammar_name_and_round_trips():
     assert dict(grammar) == {cls.name: cls for cls in classes}
     for cls in classes:
         assert [c for _, c in grammar].count(cls) == 1, cls
-        args = [2 if sp.int_field(f) else sp.Lplus() for f in fields(cls)]
+        args = [2 if f in cls.int_fields else sp.Lplus() for f in cls.fields]
         expr = cls(*args)
         text = to_source(expr)
         assert parse(text).ast == expr, text
@@ -556,3 +555,29 @@ def test_integers_past_the_digit_limit_exit_cleanly(argv, env, code, monkeypatch
         with pytest.raises(ParseError) as exc:
             parse(argv[1])
         assert exc.value.col == 4
+
+
+def test_pittel_stops_once_no_box_can_close_the_enclosure(capsys):
+    # at k=2 from row 21 on, the first box sum alone is too wide for the tolerance
+    start = time.perf_counter()
+    assert main(["table", "pittel", "--k", "2", "--n", "30"]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == "scale limit: pittel box sum over 1601^2 points exceeds 1000000\n"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # -S keeps site .pth files, which may import anything, out of the check
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import specalc.dslcli, sys;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -164,3 +164,18 @@ def test_aut_is_centralizer_order():
     for n in range(1, 6):
         for lam in nk.int_partitions(n):
             assert nk.aut(lam) == _centralizer_size(lam)
+
+
+def test_numkit_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import partition
+
+    for n in range(61):
+        assert nk.bell(n) == sympy.bell(n), n
+    for n in range(31):
+        assert len(nk.int_partitions(n)) == partition(n), n
+    for n in range(1, 2001):
+        assert nk.mobius(n) == sympy.mobius(n), n
+        assert nk.euler_phi(n) == sympy.totient(n), n
+        assert nk.divisors(n) == sympy.divisors(n), n
+        assert dict(nk.factorize(n)) == sympy.factorint(n), n

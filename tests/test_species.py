@@ -485,3 +485,46 @@ def test_children_are_the_expression_fields():
         seen.add(type(expr))
         stack.extend(sp.children(expr))
     assert len(seen) == 25
+
+
+# One sample argument tuple per node class, built as in the grammar test:
+# 2 for an integer argument, Lp for an expression.
+_LP = sp.Lplus()
+_SAMPLE_ARGS = {
+    **{cls: () for cls in (sp.One, sp.X, sp.E, sp.Eplus, sp.L, sp.Lplus, sp.C, sp.S, sp.Splus)},
+    **{cls: (2,) for cls in (sp.Ek, sp.XPow, sp.OnePlusXPow, sp.Necklace, sp.AperiodicNecklace)},
+    **{cls: (_LP,) for cls in (sp.Derivative, sp.Point, sp.NonEmpty, sp.HCT)},
+    sp.Restrict: (_LP, 2),
+    **{cls: (_LP, _LP) for cls in (sp.Sum, sp.Prod, sp.Cartesian, sp.Subst, sp.AProd, sp.MAProd)},
+}
+
+
+def test_nodes_are_immutable_values():
+    assert set(_SAMPLE_ARGS) == set(sp.SpeciesExpr.__subclasses__())
+    for cls, args in _SAMPLE_ARGS.items():
+        a, b = cls(*args), cls(*args)
+        assert a is not b and a == b and hash(a) == hash(b), cls
+        with pytest.raises(AttributeError):
+            a.f = sp.X()
+        with pytest.raises(AttributeError):
+            del a.f
+        with pytest.raises(TypeError):
+            cls(*args, sp.X())
+        if args:
+            with pytest.raises(TypeError):
+                cls()
+    assert repr(sp.Sum(sp.X(), sp.E())) == "Sum(f=X(), g=E())"
+    assert repr(sp.Ek(2)) == "Ek(k=2)"
+
+
+def test_nodes_of_different_classes_never_compare_equal():
+    x, e = sp.X(), sp.E()
+    binary = [cls(x, e) for cls in (sp.Sum, sp.Prod, sp.Cartesian, sp.Subst, sp.AProd, sp.MAProd)]
+    for i, a in enumerate(binary):
+        for b in binary[i + 1:]:
+            assert a != b, (a, b)
+    assert x != e
+    assert sp.Ek(2) != sp.XPow(2)
+    # the count cache is keyed on nodes: equal hashes must not share an entry
+    assert sp.eval_counts(sp.Sum(x, e), 4) == [1, 2, 1, 1, 1]
+    assert sp.eval_counts(sp.Prod(x, e), 4) == [0, 1, 2, 3, 4]
