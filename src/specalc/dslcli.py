@@ -13,7 +13,9 @@ aperiodic(a)`` take an integer; ``deriv point plus hct`` take an
 expression; ``aprod maprod cart comp`` take two expressions;
 ``restrict(F, n)`` takes an expression and an integer.  ``*`` is the
 species product and binds tighter than ``+``.  Parentheses and the
-expression tree may nest at most ``MAX_DEPTH`` deep.
+expression tree may nest at most ``MAX_DEPTH`` deep.  Tokens carry only
+their source offset, as the parse spans do; a parse error's line and
+column are computed from the offset it points at.
 
 The CLI prints machine-readable records (json, csv or plain text) and
 exits with 0 on success, 2 on parse errors (nesting past ``MAX_DEPTH`` and
@@ -57,50 +59,45 @@ EXIT_MISMATCH = 5
 class Token(NamedTuple):
     kind: str
     text: str
-    pos: int
-    line: int
-    col: int
+    pos: int  # offset into the source, as in the parse spans
 
 
 _SYMBOLS = {"+": "plus", "*": "star", "(": "lparen", ")": "rparen", ",": "comma"}
 
 
+def _line_col(src: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of the source offset, each character one column."""
+    return src.count("\n", 0, pos) + 1, pos - src.rfind("\n", 0, pos)
+
+
 def tokenize(src: str) -> list[Token]:
     toks = []
-    i, line, col = 0, 1, 1
+    i = 0
     while i < len(src):
         ch = src[i]
         if ch in " \t\r\n":
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
             i += 1
             continue
         if ch in _SYMBOLS:
-            toks.append(Token(_SYMBOLS[ch], ch, i, line, col))
+            toks.append(Token(_SYMBOLS[ch], ch, i))
             i += 1
-            col += 1
             continue
         if "0" <= ch <= "9":  # not str.isdigit, which takes digits such as "²" too
             j = i
             while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
-            toks.append(Token("int", src[i:j], i, line, col))
-            col += j - i
+            toks.append(Token("int", src[i:j], i))
             i = j
             continue
         if ch.isalpha():
             j = i
             while j < len(src) and src[j].isalnum():
                 j += 1
-            toks.append(Token("name", src[i:j], i, line, col))
-            col += j - i
+            toks.append(Token("name", src[i:j], i))
             i = j
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", len(src), line, col))
+        raise ParseError(f"unexpected character {ch!r}", *_line_col(src, i))
+    toks.append(Token("eof", "", len(src)))
     return toks
 
 
@@ -115,7 +112,7 @@ ATOMS = {cls.name: cls for cls in _PREFIX_NODES if not cls.fields}
 CALLS = {cls.name: cls for cls in _PREFIX_NODES if cls.fields}
 
 
-_EXPR_START = ("an atom (X, 1, E, Ep, L, Lp, C, S, Sp)", "a call", "'('")
+_EXPR_START = (f"an atom ({', '.join(ATOMS)})", "a call", "'('")
 
 
 class ParsedProgram(NamedTuple):
@@ -141,7 +138,7 @@ class _Parser:
 
     def fail(self, message, expected=(), at=None):
         t = at or self.peek()
-        raise ParseError(message, t.line, t.col, expected)
+        raise ParseError(message, *_line_col(self.src, t.pos), expected)
 
     def expect(self, kind, what):
         if self.peek().kind != kind:

@@ -33,12 +33,8 @@ class PreconditionViolated(SpecalcError):
         super().__init__(f"{message} (node at {path_str(self.path)})")
 
 
-class UnsupportedForCycleIndex(SpecalcError):
+class UnsupportedForCycleIndex(PreconditionViolated):
     """The cycle-index evaluator cannot handle this node."""
-
-    def __init__(self, path, message):
-        self.path = tuple(path)
-        super().__init__(f"{message} (node at {path_str(self.path)})")
 
 
 class IncompleteData(SpecalcError):

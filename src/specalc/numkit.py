@@ -310,6 +310,19 @@ def aprod_power(f, k: int) -> tuple[int, ...]:
     return out
 
 
+def hct_counts(r) -> tuple[int, ...]:
+    """Counts of r-enriched hyper-cloned rooted trees, a root plus R+ ⊡ H.
+
+    h_1 = 1 and h_(n+1) = rect_divisor_sum(n, r, h); as long as r.
+    """
+    h = [0] * len(r)
+    if len(r) > 1:
+        h[1] = 1
+    for n in range(1, len(r) - 1):
+        h[n + 1] = rect_divisor_sum(n, r, h)
+    return tuple(h)
+
+
 def stirling1_transform(a) -> list[int]:
     """Counts of A(ln(1+x)) from those of A: sum_k s(m, k) a_k with signed s."""
     return [sum(map(mul, row, a)) for row in stirling1_table(len(a) - 1)]

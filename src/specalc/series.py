@@ -127,18 +127,6 @@ def _mul_trunc(a, b, n):
     return out
 
 
-def add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f + g
-
-
-def scale(f: TruncSeries, q) -> TruncSeries:
-    return f * Fraction(q)
-
-
-def mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f * g
-
-
 def compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """f(g(x)) truncated; g must have zero constant term."""
     if g.coeffs[0] != 0:

@@ -7,9 +7,9 @@ multiplicativity tools, and the closed-form matrix/partial-rectangle
 counting formulas.
 
 Labelled counts are exact ``int`` tuples, one ``numkit`` count kernel per
-node; ``eval_counts`` asserts that every count is nonnegative.  The
-``Fraction`` kernels of ``series`` are the independent route the tests
-compare them against.
+node, ``hct`` included; ``eval_counts`` asserts that every count is
+nonnegative.  The ``Fraction`` kernels of ``series`` are the independent
+route the tests compare them against.
 
 A new node kind is one ``SpeciesExpr`` subclass here and one branch in
 each of ``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``.
@@ -64,7 +64,7 @@ class SpeciesExpr:
     def __init__(self, *args):
         if len(args) != len(self.fields):
             raise TypeError(f"{type(self).__name__}() takes {len(self.fields)} arguments")
-        vars(self).update(zip(self.fields, args), args=args)
+        vars(self).update(zip(self.fields, args), args=args, _hash=hash((self.name, args)))
         for f in self.int_fields:
             if (v := getattr(self, f)) < 0:
                 raise DomainError(f"{self.name} needs {f} >= 0, got {v}")
@@ -75,7 +75,7 @@ class SpeciesExpr:
         return self.args == other.args
 
     def __hash__(self):
-        return hash(self.args)
+        return self._hash
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -87,16 +87,16 @@ class SpeciesExpr:
         return f"{type(self).__name__}({inner})"
 
 
-class One(SpeciesExpr):
-    """The empty-set species 1."""
-
-    name = "1"
-
-
 class X(SpeciesExpr):
     """Singletons."""
 
     name = "X"
+
+
+class One(SpeciesExpr):
+    """The empty-set species 1."""
+
+    name = "1"
 
 
 class E(SpeciesExpr):
@@ -342,7 +342,7 @@ def _counts(expr: SpeciesExpr, order: int) -> tuple[int, ...]:
     if isinstance(expr, Restrict):
         return _only(expr.n, _counts(expr.f, order))
     if isinstance(expr, HCT):
-        return tuple(hct_counts(expr.r, order))
+        return nk.hct_counts(_counts(expr.r, order))
     raise DomainError(f"unknown expression node {expr!r}")
 
 
@@ -430,10 +430,9 @@ def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
         # fix of the derivative at lam is fix of the operand at lam plus one fixed point
         inner = _zi(expr.f, bound + 1, path + (0,))
         return zi.CycleIndex(bound, {
-            lam: inner.fix[_with_extra_fixed_point(lam)]
-            for w in range(bound + 1)
-            for lam in nk.int_partitions(w)
-            if _with_extra_fixed_point(lam) in inner.fix
+            (lam[0] - 1,) + lam[1:] if lam != (1,) else (): v
+            for lam, v in inner.fix.items()
+            if lam and lam[0]
         })
     if isinstance(expr, Point):
         return zi.zi_point(_zi(expr.f, bound, path + (0,)))
@@ -450,12 +449,6 @@ def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
     if isinstance(expr, HCT):
         raise UnsupportedForCycleIndex(path, "no cycle index for hyper-cloned trees")
     raise DomainError(f"unknown expression node {expr!r}")
-
-
-def _with_extra_fixed_point(lam):
-    if not lam:
-        return (1,)
-    return (lam[0] + 1,) + lam[1:]
 
 
 def eval_ogf(expr: SpeciesExpr, order: int) -> TruncSeries:
@@ -477,18 +470,8 @@ def type_counts(expr: SpeciesExpr, order: int) -> list[int]:
 # -- hyper-cloned rooted trees ---------------------------------------------------
 
 def hct_counts(r: SpeciesExpr, order: int) -> list[int]:
-    """Counts of r-enriched hyper-cloned rooted trees by the divisor recursion.
-
-    h[1] = 1 and h[n+1] = sum over d | n of rect_coeff(n, d) * |r[d]| * h[n/d].
-    """
-    validate(r)
-    rc = eval_counts(r, max(order - 1, 0))
-    h = [0] * (order + 1)
-    if order >= 1:
-        h[1] = 1
-    for n in range(1, order):
-        h[n + 1] = nk.rect_divisor_sum(n, rc, h)
-    return h
+    """Counts of r-enriched hyper-cloned rooted trees: ``eval_counts`` of ``hct(r)``."""
+    return eval_counts(HCT(r), order)
 
 
 # -- multiplicative species -------------------------------------------------------

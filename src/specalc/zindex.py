@@ -91,10 +91,6 @@ def partition_label(lam) -> str:
     return " ".join(f"{i}^{m}" for i, m in enumerate(lam, 1) if m)
 
 
-def zi_zero(bound: int) -> CycleIndex:
-    return CycleIndex(bound, {})
-
-
 def zi_atom(name: str, bound: int) -> CycleIndex:
     """Cycle index of a named atom, exact to the weight bound.
 

@@ -22,9 +22,9 @@ def test_ring_ops():
     geo = TruncSeries.geometric(3)
     assert (geo * geo) == F(1, 2, 3, 4)
     f = F(1, 2, 3)
-    assert se.add(f, TruncSeries.zero(2)) == f
-    assert se.scale(f, Fraction(1, 2)) == F(Fraction(1, 2), 1, Fraction(3, 2))
-    assert se.mul(f, TruncSeries.one(2)) == f
+    assert f + TruncSeries.zero(2) == f
+    assert f * Fraction(1, 2) == F(Fraction(1, 2), 1, Fraction(3, 2))
+    assert f * TruncSeries.one(2) == f
 
 
 def test_mixed_orders_truncate_to_min():

@@ -528,3 +528,26 @@ def test_nodes_of_different_classes_never_compare_equal():
     # the count cache is keyed on nodes: equal hashes must not share an entry
     assert sp.eval_counts(sp.Sum(x, e), 4) == [1, 2, 1, 1, 1]
     assert sp.eval_counts(sp.Prod(x, e), 4) == [0, 1, 2, 3, 4]
+
+
+def test_each_node_is_hashed_once_with_its_kind(monkeypatch):
+    calls = [0]
+    node_hash = sp.SpeciesExpr.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return node_hash(self)
+
+    chain = sp.X()
+    for _ in range(100):
+        chain = sp.Sum(chain, sp.X())
+    monkeypatch.setattr(sp.SpeciesExpr, "__hash__", counting)
+    sp._counts.cache_clear()
+    assert sp.eval_counts(chain, 30)[30] == 0
+    # a hash that rehashed the subtree made about 10,000 calls here, quadratic in depth
+    assert calls[0] < 1000
+    monkeypatch.undo()
+    nodes = [cls(*args) for cls, args in _SAMPLE_ARGS.items()]
+    assert len({hash(n) for n in nodes}) == len(nodes) == 25
+    for cls, args in _SAMPLE_ARGS.items():
+        assert hash(cls(*args)) == hash(cls(*args)), cls
