@@ -9,10 +9,14 @@ counting formulas.
 Labelled counts are exact ``int`` tuples, one ``numkit`` count kernel per
 node, ``hct`` included; ``eval_counts`` asserts that every count is
 nonnegative.  The ``Fraction`` kernels of ``series`` are the independent
-route the tests compare them against.
+route the tests compare them against.  Type counts (``type_counts``) are
+``int`` tuples too, from ``_types``; ``eval_ogf``, which specialises the
+whole cycle index, is their independent route.
 
 A new node kind is one ``SpeciesExpr`` subclass here and one branch in
 each of ``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``.
+It needs a ``_types`` branch only if its type series follows from its
+operands' type series; otherwise ``_types`` specialises its cycle index.
 The class is the one place the kind is declared: the grammar of
 ``dslcli``, the printer and the argument errors read its source name
 ``name``, and its annotated fields are its arguments (an ``int`` field
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import inf
 from operator import add, mul
 
@@ -457,14 +460,28 @@ def eval_ogf(expr: SpeciesExpr, order: int) -> TruncSeries:
 
 
 def type_counts(expr: SpeciesExpr, order: int) -> list[int]:
-    """Unlabelled counts, asserting integrality."""
-    f = eval_ogf(expr, order)
-    out = []
-    for n, c in enumerate(f.coeffs):
+    """Unlabelled counts on integer type series, asserting integrality."""
+    validate(expr)
+    return list(_types(expr, order, ()))
+
+
+def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
+    """Type counts of the node, from its operands' type counts where they suffice."""
+    expr = core(expr)
+    if isinstance(expr, (Sum, Prod)):
+        f, g = _types(expr.f, order, path + (0,)), _types(expr.g, order, path + (1,))
+        return tuple(map(add, f, g)) if isinstance(expr, Sum) else zi.ogf_mul(f, g)
+    if isinstance(expr, NonEmpty):
+        return (0,) + _types(expr.f, order, path + (0,))[1:]
+    if isinstance(expr, Restrict):
+        return _only(expr.n, _types(expr.f, order, path + (0,)))
+    if isinstance(expr, Subst):
+        return zi.ogf_plethysm(_zi(expr.f, order, path + (0,)), _types(expr.g, order, path + (1,)))
+    coeffs = zi.zi_to_ogf(_zi(expr, order, path), order).coeffs
+    for n, c in enumerate(coeffs):
         if c.denominator != 1 or c < 0:
             raise DomainError(f"type count at {n} is {c}, not a nonnegative integer")
-        out.append(int(c))
-    return out
+    return tuple(map(int, coeffs))
 
 
 # -- hyper-cloned rooted trees ---------------------------------------------------
@@ -535,6 +552,8 @@ def mnr_formula(m: int, n: int, r: int) -> int:
     """
     if m < 0 or n < 0 or r < 0:
         raise DomainError("matrix dimensions and weight must be nonnegative")
+    if not m * n:  # every line of a matrix with a zero dimension is empty
+        return int(m == n == r == 0)
     total = 0
     for j in range(m + 1):
         cj = nk.binomial(m, j)
@@ -679,20 +698,22 @@ def _check_box(k, box):
 
 
 def _pittel_box_sum(k, n, box):
-    """Exact sum of (prod i)_n / prod i! over the k-cube [0..box]^k."""
+    """Exact sum of (prod i)_n / prod i! over the k-cube [0..box]^k.
+
+    The summand depends on the tuple through its product only, so the
+    weights prod box!/i! are gathered per product, one coordinate at a
+    time, and each distinct product's falling factorial is formed once.
+    """
     fbox = nk.factorial(box)
     w = [fbox // nk.factorial(i) for i in range(box + 1)]
-    total = 0
-    for tup in product(range(box + 1), repeat=k):
-        m = 1
-        for i in tup:
-            m *= i
-        f = nk.falling(m, n)
-        if f:
-            ww = f
-            for i in tup:
-                ww *= w[i]
-            total += ww
+    by_product = {1: 1}
+    for _ in range(k):
+        step = {}
+        for m, c in by_product.items():
+            for i, wi in enumerate(w):
+                step[m * i] = step.get(m * i, 0) + c * wi
+        by_product = step
+    total = sum(nk.falling(m, n) * c for m, c in by_product.items())
     return Fraction(total, fbox ** k)
 
 

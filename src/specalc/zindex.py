@@ -19,13 +19,15 @@ terms that cannot survive the truncation is formed.  Plethysm builds the
 substituted power-sum product p_lam[q] of each partition from that of
 lam with one largest part removed (Bergeron, Labelle and Leroux,
 Combinatorial Species and Tree-like Structures, section 4.3), so each
-distinct partition costs one truncated product.
+distinct partition costs one truncated product.  ``ogf_plethysm`` walks
+the same partitions on integer type series: it substitutes g(x^i) for
+x_i and never forms the multivariate result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import numkit as nk
 from .errors import CompositionError, DomainError, UnknownAtom, ZeroConstantRequired
@@ -217,6 +219,14 @@ def zi_mul(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     return _from_monomials(bound, _mono_mul(_monomials(p, bound), _monomials(q, bound), bound))
 
 
+def _drop_largest_part(lam):
+    """The partition lam without one of its largest parts."""
+    rest = lam[:-1] + (lam[-1] - 1,)
+    while rest and rest[-1] == 0:
+        rest = rest[:-1]
+    return rest
+
+
 def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     """Plethystic substitution: x_i in p becomes q(x_i, x_2i, x_3i, ...).
 
@@ -242,10 +252,7 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
 
     def substituted(lam):
         if lam not in power:
-            rest = lam[:-1] + (lam[-1] - 1,)
-            while rest and rest[-1] == 0:
-                rest = rest[:-1]
-            power[lam] = _mono_mul(substituted(rest), q_scaled(len(lam)), bound)
+            power[lam] = _mono_mul(substituted(_drop_largest_part(lam)), q_scaled(len(lam)), bound)
         return power[lam]
 
     acc = {}
@@ -256,6 +263,62 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
         for mu, cm in substituted(lam).items():
             acc[mu] = acc.get(mu, _ZERO) + c * cm
     return _from_monomials(bound, acc)
+
+
+def ogf_mul(a, b) -> tuple[int, ...]:
+    """Ordinary product of two integer series, truncated at the length of a."""
+    bound = len(a) - 1
+    terms = [(j, y) for j, y in enumerate(b[: bound + 1]) if y]
+    out = [0] * (bound + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                if i + j > bound:
+                    break
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def ogf_plethysm(p: CycleIndex, g) -> tuple[int, ...]:
+    """Z_p(g(x), g(x^2), ...) to weight p.bound, for an integer series g with g[0] = 0.
+
+    This is the type series of F o G when p is F's cycle index and g is
+    G's type series.  The power g(x)^m_1 g(x^2)^m_2 ... of each partition
+    is that of the partition with one largest part i removed, times
+    g(x^i), as in ``zi_plethysm``.  Since aut(lam) divides |lam|!, the sum
+    of fix/aut times the powers is taken over the common denominator
+    bound! (times the fix-values' denominators), with one division at the
+    end.
+    """
+    if g[0]:
+        raise CompositionError("plethysm inner series has a weight-0 term")
+    bound = p.bound
+    scaled = {}
+    for i in range(1, bound + 1):
+        scaled[i] = [0] * (bound + 1)
+        scaled[i][i::i] = g[1 : bound // i + 1]
+    power = {(): (1,) + (0,) * bound}
+
+    def substituted(lam):
+        if lam not in power:
+            power[lam] = ogf_mul(substituted(_drop_largest_part(lam)), scaled[len(lam)])
+        return power[lam]
+
+    fact = nk.factorial(bound)
+    den = lcm(*(v.denominator for v in p.fix.values()))
+    acc = [0] * (bound + 1)
+    for lam, v in p.fix.items():
+        c = fact // nk.aut(lam) * int(v * den)
+        for n, t in enumerate(substituted(lam)):
+            acc[n] += c * t
+    out = []
+    for n, t in enumerate(acc):
+        q, r = divmod(t, fact * den)
+        if r or q < 0:
+            c = Fraction(t, fact * den)
+            raise DomainError(f"type count at {n} is {c}, not a nonnegative integer")
+        out.append(q)
+    return tuple(out)
 
 
 def box_type(beta, gamma) -> tuple[int, ...]:

@@ -3,13 +3,15 @@
 Every argv ends in one of the documented exit codes (0 success, 2 parse
 error, 3 precondition or domain error, 4 scale limit, 5 check mismatch),
 with no other exception and within a time budget.  The draws are random
-token strings and well-formed trees of every node kind.
+token strings, well-formed trees of every node kind, and ``table`` argv
+with edge values of every option, in any order.
 """
 
 import io
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -107,3 +109,30 @@ def test_generated_trees_round_trip_through_print_and_parse(tree):
     text = dslcli.to_source(tree)
     assert dslcli.parse(text).ast == tree
     assert dslcli.to_source(dslcli.parse(text).ast) == text
+
+
+# zero, negative, small, at and past the order cap, past the mnr cell limit
+# and huge; argparse rejects a non-integer, and a "-inf" it reads as an
+# option, with exit 2
+TABLE_INTS = st.sampled_from(
+    ("0", "-1", "-1000000", "1", "2", "3", "6", "30", "31", "401", "10" * 15, "nan")
+)
+TABLE_TOLS = st.sampled_from(
+    ("0", "-1", "-0.0", "nan", "inf", "-inf", "1e-300", "1e-6", "0.5", "1e300")
+)
+table_options = st.fixed_dictionaries(
+    {"--n": TABLE_INTS},
+    optional={
+        "--k": TABLE_INTS, "--m": TABLE_INTS, "--tol": TABLE_TOLS,
+        "--format": st.sampled_from(FORMATS),
+    },
+)
+
+
+@pytest.mark.parametrize("kind", ("rect", "krect", "prect", "mnr", "pittel"))
+@settings(_SETTINGS, max_examples=60)
+@given(st.data())
+def test_table_argv_exit_with_a_documented_code(kind, data):
+    options = data.draw(table_options)
+    units = data.draw(st.permutations([[kind]] + [list(o) for o in options.items()]))
+    run_cli(["table"] + [a for unit in units for a in unit])

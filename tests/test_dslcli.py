@@ -337,6 +337,14 @@ def test_mnr_table_past_the_cell_limit_exits_4(capsys):
     assert "scale limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m, n", [("0", "10" * 15), ("10" * 15, "0")])
+def test_mnr_table_with_a_zero_dimension_is_one_row_fast(m, n, capsys):
+    start = time.perf_counter()
+    assert main(["table", "mnr", "--m", m, "--n", n]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.endswith(" r=0 value=0\n")
+
+
 def test_cmd_table_prect_and_pittel():
     rec = cmd_table("prect", 4, k=2)
     assert [int(r["value"]) for r in rec["payload"]["rows"]] == [1, 1, 3, 15, 113]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,27 @@ def test_plethysm_identities():
     assert zi.zi_plethysm(zx, p) == p
     with pytest.raises(CompositionError):
         zi.zi_plethysm(p, zi.zi_atom("E", 6))
+
+
+def test_ogf_plethysm_is_the_specialised_plethysm():
+    b = 7
+    inner = [zi.zi_atom(a, b) for a in ("X", "C")] + [sp.eval_zi(sp.Lplus(), b)]
+    # fractional fix-values: 3/4 x1^2 + 1/4 x2 has integral type counts
+    # under X, a fractional one at 3 under C
+    halves = CycleIndex(b, {(2,): Fraction(3, 2), (0, 1): Fraction(1, 2)})
+    for p in [zi.zi_atom(a, b) for a in ("1", "X", "E", "L", "C", "S")] + [halves]:
+        for q in inner:
+            want = zi.zi_to_ogf(zi.zi_plethysm(p, q), b).coeffs
+            g = [int(c) for c in zi.zi_to_ogf(q, b).coeffs]
+            bad = [(n, c) for n, c in enumerate(want) if c.denominator != 1]
+            if not bad:
+                assert zi.ogf_plethysm(p, g) == tuple(want)
+                continue
+            n, c = bad[0]
+            with pytest.raises(DomainError, match=f"type count at {n} is {c}, not"):
+                zi.ogf_plethysm(p, g)
+    with pytest.raises(CompositionError):
+        zi.ogf_plethysm(zi.zi_atom("C", b), [1] * (b + 1))
 
 
 def test_zi_hadamard():
@@ -271,9 +293,12 @@ def test_plethysm_full_index_matches_oracle():
 
 
 def test_type_counts_of_partitions_past_the_cli_cap():
-    assert sp.type_counts(sp.Subst(sp.E(), sp.Eplus()), 12) == [
-        len(nk.int_partitions(n)) for n in range(13)
-    ]
+    # the integer route substitutes Ep's type series into E's index; the
+    # whole cycle index of comp(E, Ep) takes seconds at this order
+    start = time.perf_counter()
+    got = sp.type_counts(sp.Subst(sp.E(), sp.Eplus()), 20)
+    assert time.perf_counter() - start < 2.0
+    assert got == [len(nk.int_partitions(n)) for n in range(21)]
 
 
 def test_kernels_pair_only_terms_within_the_bound(monkeypatch):
