@@ -534,15 +534,14 @@ def _flat_rows(record):
         return ["index", "structure"], [
             [str(i), json.dumps(s)] for i, s in enumerate(payload["structures"])
         ]
+    if record["command"] == "zindex":
+        return ["partition", "fix", "coeff"], [
+            [r["partition"], _rat_plain(r["fix"]), _rat_plain(r["coeff"])]
+            for r in payload["rows"]
+        ]
     if "rows" in payload:
         rows = payload["rows"]
-        if not rows:
-            return [], []
-        if "partition" in rows[0]:
-            return ["partition", "fix", "coeff"], [
-                [r["partition"], _rat_plain(r["fix"]), _rat_plain(r["coeff"])] for r in rows
-            ]
-        header = list(rows[0])
+        header = list(rows[0]) if rows else []
         return header, [[str(r[h]) for h in header] for r in rows]
     return [], []
 
@@ -564,7 +563,7 @@ def _format_csv(record) -> str:
 def _format_plain(record) -> str:
     lines = [f"# {record['command']} {record['expression']}".rstrip() + f" --n {record['order']}"]
     payload = record["payload"]
-    if "rows" in payload and payload["rows"] and "partition" in payload["rows"][0]:
+    if record["command"] == "zindex":
         for r in payload["rows"]:
             fix, coeff = _rat_plain(r["fix"]), _rat_plain(r["coeff"])
             lines.append(f"{r['partition']}: {fix} (monomial coeff {coeff})")

@@ -167,11 +167,6 @@ def rectangles_of(labels):
     return [Rect(p, t) for p, t in _k_rectangles_of(labels, 2)]
 
 
-def rectangles(n: int):
-    """All rectangles (pi, tau) on {1..n}."""
-    return rectangles_of(range(1, n + 1))
-
-
 def k_rectangles(n: int, k: int):
     if n > ENUM_LIMIT:
         raise ScaleLimit(f"k_rectangles({n}) exceeds limit {ENUM_LIMIT}")
@@ -206,10 +201,6 @@ def partial_rectangles_of(labels):
     if len(parts) ** 2 > PARTIAL_CANDIDATES:
         raise ScaleLimit(f"{len(parts)}^2 partition pairs exceed limit {PARTIAL_CANDIDATES}")
     return [Rect(p, q) for p, q in _k_partial_rectangles_of(labels, 2)]
-
-
-def partial_rectangles(n: int):
-    return partial_rectangles_of(range(1, n + 1))
 
 
 def k_partial_rectangles(n: int, k: int):

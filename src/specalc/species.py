@@ -7,14 +7,20 @@ multiplicativity tools, and the closed-form matrix/partial-rectangle
 counting formulas.
 
 Labelled counts are exact ``int`` tuples, one ``numkit`` count kernel per
-node, ``hct`` included; ``eval_counts`` asserts that every count is
+operation, ``hct`` included; an atom's counts are its fix-values
+(``zindex.atom_fix``) at the identity permutations, the same table its
+cycle index is built from.  ``eval_counts`` asserts that every count is
 nonnegative.  The ``Fraction`` kernels of ``series`` are the independent
 route the tests compare them against.  Type counts (``type_counts``) are
 ``int`` tuples too, from ``_types``; ``eval_ogf``, which specialises the
 whole cycle index, is their independent route.
 
 A new node kind is one ``SpeciesExpr`` subclass here and one branch in
-each of ``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``.
+each of ``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``;
+a new atom (a node with no expression argument) needs no ``_counts`` or
+``_zi`` branch, only one ``zindex`` fix-value entry under its source name
+(and a place among the atoms ``zi_atom`` walks at every cycle type if it
+fixes structures off the equal-part types).
 It needs a ``_types`` branch only if its type series follows from its
 operands' type series; otherwise ``_types`` specialises its cycle index.
 The class is the one place the kind is declared: the grammar of
@@ -304,26 +310,9 @@ def validate(expr: SpeciesExpr) -> None:
 def _counts(expr: SpeciesExpr, order: int) -> tuple[int, ...]:
     """Labelled counts |F[0]| .. |F[order]| on exact integers, one kernel per node."""
     expr = core(expr)
-    if isinstance(expr, One):
-        return _only(0, (1,) * (order + 1))
-    if isinstance(expr, X):
-        return _only(1, (1,) * (order + 1))
-    if isinstance(expr, E):
-        return (1,) * (order + 1)
-    if isinstance(expr, (L, S)):
-        return tuple(map(nk.factorial, range(order + 1)))
-    if isinstance(expr, C):
-        return (0,) + tuple(map(nk.factorial, range(order)))
-    if isinstance(expr, OnePlusXPow):
-        return tuple(nk.falling(expr.n, m) for m in range(order + 1))
-    if isinstance(expr, Necklace):
-        return (0,) + tuple(
-            nk.factorial(n - 1) * expr.alpha ** n for n in range(1, order + 1)
-        )
-    if isinstance(expr, AperiodicNecklace):
-        return (0,) + tuple(
-            nk.factorial(n) * nk.lyndon_count(n, expr.alpha) for n in range(1, order + 1)
-        )
+    if expr.fields == expr.int_fields:  # an atom: its fix-values at the identity types
+        identity = [()] + [(n,) for n in range(1, order + 1)]
+        return tuple(zi.atom_fix(expr.name, lam, *expr.args) for lam in identity)
     if isinstance(expr, Sum):
         return tuple(map(add, _counts(expr.f, order), _counts(expr.g, order)))
     if isinstance(expr, Prod):
@@ -391,29 +380,8 @@ ZI_DERIV_BOUND = 30
 
 def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
     expr = core(expr)
-    if isinstance(expr, (One, X, E, L, C, S)):
-        return zi.zi_atom(expr.name, bound)
-    if isinstance(expr, OnePlusXPow):
-        fix = {}
-        for m in range(min(expr.n, bound) + 1):
-            lam = (m,) if m else ()
-            fix[lam] = nk.falling(expr.n, m)
-        return zi.CycleIndex(bound, fix)
-    if isinstance(expr, Necklace):
-        base = zi.zi_atom(C.name, bound)
-        a = expr.alpha
-        # a coloring fixed along with the cycle must be constant on the
-        # permutation's cycles: multiply by alpha^(number of parts)
-        return zi.CycleIndex(
-            bound, {lam: v * a ** nk.num_parts(lam) for lam, v in base.fix.items()}
-        )
-    if isinstance(expr, AperiodicNecklace):
-        fix = {}
-        for n in range(1, bound + 1):
-            lam_n = nk.lyndon_count(n, expr.alpha)
-            if lam_n:
-                fix[(n,)] = lam_n * nk.factorial(n)
-        return zi.CycleIndex(bound, fix)
+    if expr.fields == expr.int_fields:  # an atom
+        return zi.zi_atom(expr.name, bound, *expr.args)
     if isinstance(expr, Sum):
         return zi.zi_add(_zi(expr.f, bound, path + (0,)), _zi(expr.g, bound, path + (1,)))
     if isinstance(expr, Prod):

@@ -93,37 +93,64 @@ def partition_label(lam) -> str:
     return " ".join(f"{i}^{m}" for i, m in enumerate(lam, 1) if m)
 
 
-def zi_atom(name: str, bound: int) -> CycleIndex:
+def _cycle_fix(lam) -> int:
+    """Oriented cycles fixed by a permutation of type lam: it needs m cycles of one length d."""
+    d, m = len(lam), nk.num_parts(lam)
+    if not lam or lam[-1] != m:
+        return 0
+    return nk.euler_phi(d) * d ** (m - 1) * nk.factorial(m - 1)
+
+
+# Each atom's fix-value at a cycle type lam of weight n, given the atom's
+# arguments.  Injections (OnePlusXpow) and aperiodic necklaces are fixed
+# only by the identity; a necklace's colouring must be constant on cycles.
+_ATOM_FIX = {
+    "1": lambda lam, n: int(n == 0),
+    "X": lambda lam, n: int(lam == (1,)),
+    "E": lambda lam, n: 1,
+    "L": lambda lam, n: nk.factorial(n) if len(lam) <= 1 else 0,
+    "C": lambda lam, n: _cycle_fix(lam),
+    "S": lambda lam, n: nk.aut(lam),
+    "OnePlusXpow": lambda lam, n, k: nk.falling(k, n) if len(lam) <= 1 else 0,
+    "necklace": lambda lam, n, a: _cycle_fix(lam) * a ** nk.num_parts(lam),
+    "aperiodic": lambda lam, n, a: nk.factorial(n) * nk.lyndon_count(n, a) if len(lam) == 1 else 0,
+}
+
+
+def _atom(name):
+    if name not in _ATOM_FIX:
+        raise UnknownAtom(f"no cycle index for atom {name!r}")
+    return _ATOM_FIX[name]
+
+
+def atom_fix(name: str, lam, *params) -> int:
+    """How many structures of the named atom a permutation of cycle type lam fixes.
+
+    Names: ``1 X E L C S`` and, with one integer argument, ``OnePlusXpow``,
+    ``necklace`` and ``aperiodic``.  At the identity types () and (n,) this
+    is the labelled count.  The sugar atoms (``Ep``, ``Ek(k)``, ...) are
+    restrictions of these, which ``species.core`` spells out.
+    """
+    return _atom(name)(lam, nk.weight(lam), *params)
+
+
+def zi_atom(name: str, bound: int, *params) -> CycleIndex:
     """Cycle index of a named atom, exact to the weight bound.
 
-    Names: ``1 X E L C S``.  The sugar atoms (``Ep``, ``Ek(k)``, ...) are
-    restrictions of these, which ``species.eval_zi`` applies.
+    ``E`` and ``S`` have fixed structures at every cycle type; every other
+    atom fixes none off the equal-part types (0, ..., 0, m), so only
+    those are visited.
     """
-    fix = {}
-    if name == "1":
-        fix[()] = 1
-    elif name == "X":
-        if bound >= 1:
-            fix[(1,)] = 1
-    elif name == "E":
-        for w in range(bound + 1):
-            for lam in nk.int_partitions(w):
-                fix[lam] = 1
-    elif name == "L":
-        for n in range(bound + 1):
-            fix[(n,) if n else ()] = nk.factorial(n)
-    elif name == "C":
-        for d in range(1, bound + 1):
-            for m in range(1, bound // d + 1):
-                lam = (0,) * (d - 1) + (m,)
-                fix[lam] = nk.euler_phi(d) * d ** (m - 1) * nk.factorial(m - 1)
-    elif name == "S":
-        for w in range(bound + 1):
-            for lam in nk.int_partitions(w):
-                fix[lam] = nk.aut(lam)
+    fix = _atom(name)
+    if name in ("E", "S"):
+        types = [(lam, w) for w in range(bound + 1) for lam in nk.int_partitions(w)]
     else:
-        raise UnknownAtom(f"no cycle index for atom {name!r}")
-    return CycleIndex(bound, fix)
+        types = [((), 0)] + [
+            ((0,) * (d - 1) + (m,), d * m)
+            for d in range(1, bound + 1)
+            for m in range(1, bound // d + 1)
+        ]
+    return CycleIndex(bound, {lam: v for lam, n in types if (v := fix(lam, n, *params))})
 
 
 def zi_add(p: CycleIndex, q: CycleIndex) -> CycleIndex:

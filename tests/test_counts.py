@@ -8,6 +8,8 @@ counts, and both must agree with brute-force enumeration.
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
 
 from conftest import rand_any, rand_emptyfree
@@ -15,7 +17,9 @@ from specalc import numkit as nk
 from specalc import oracle
 from specalc import series as se
 from specalc import species as sp
+from specalc.errors import PreconditionViolated
 from specalc.series import TruncSeries
+from test_cli_properties import _SETTINGS, LEAF_CLASSES, trees
 
 
 def _ref_egf(expr, order):
@@ -64,6 +68,14 @@ def _ref_egf(expr, order):
     if isinstance(expr, sp.Restrict):
         inner = _ref_egf(expr.f, order).coeffs
         return TruncSeries(c if n == expr.n else 0 for n, c in enumerate(inner))
+    if isinstance(expr, sp.HCT):
+        # H = X + the integral of R+ boxed H, iterated to its fixed point
+        r = _ref_egf(sp.NonEmpty(expr.r), order)
+        h = TruncSeries.x(order)
+        for _ in range(order):
+            d = se.aprod_egf(r, h).coeffs
+            h = TruncSeries.x(order) + TruncSeries([0] + [d[n] / (n + 1) for n in range(order)])
+        return h
     raise AssertionError(f"no reference route for {expr!r}")
 
 
@@ -82,7 +94,13 @@ def _draws(rng):
     ]
 
 
+# every atom kind, the integer-valued ones at a few arguments
+ATOMS = [cls(*k) for cls in LEAF_CLASSES for k in ([(0,), (2,), (5,)] if cls.fields else [()])]
+
+
 def test_counts_match_the_fraction_kernels():
+    for expr in ATOMS:
+        assert list(sp._counts(expr, 30)) == _ref_egf(expr, 30).counts(), expr
     rng = random.Random(41)
     for _ in range(40):
         order = rng.randint(0, 12)
@@ -119,6 +137,20 @@ def test_counts_match_the_oracle():
                 got = len(oracle.enumerate_structures(expr, range(1, n + 1)))
                 assert got == counts[n], (expr, n)
     assert len(kinds) >= 9, kinds
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(trees(3), st.integers(0, 12))
+def test_counts_kernels_and_oracle_agree_on_drawn_trees(tree, order):
+    try:
+        sp.validate(tree)
+    except PreconditionViolated:  # an aprod or comp operand with an empty structure
+        return
+    counts = list(sp._counts(tree, order))
+    assert counts == _ref_egf(tree, order).counts()
+    if _oracle_work(tree, 5) <= 1200:
+        for n in range(min(order, 5) + 1):
+            assert len(oracle.enumerate_structures(tree, range(1, n + 1))) == counts[n], n
 
 
 def test_pr_k_exact_matches_the_log_substitution():

@@ -448,6 +448,11 @@ def test_csv_and_plain_formats():
     assert _formatted(rec, "csv").splitlines()[0] == "n,count"
     plain = _formatted(rec, "plain")
     assert plain.splitlines()[1] == "n=0 count=1"
+    # a cycle index with no terms keeps its header
+    empty = dslcli.cmd_zindex("restrict(E, 5)", 2)
+    assert empty["payload"]["rows"] == []
+    assert _formatted(empty, "csv") == "partition,fix,coeff"
+    assert _formatted(empty, "plain") == "# zindex restrict(E, 5) --n 2"
 
 
 def test_main_exit_codes(capsys, monkeypatch):

@@ -84,20 +84,20 @@ def test_partition_axioms():
 
 
 def test_rectangles_census():
-    rects = oracle.rectangles(4)
+    rects = oracle.rectangles_of(range(1, 5))
     assert len(rects) == 8
     heights = Counter(len(r.pi) for r in rects)
     assert heights == {1: 1, 2: 6, 4: 1}
-    assert len(oracle.rectangles(6)) == 122
+    assert len(oracle.rectangles_of(range(1, 7))) == 122
     for n in range(1, 8):
-        assert len(oracle.rectangles(n)) == sum(
+        assert len(oracle.rectangles_of(range(1, n + 1))) == sum(
             nk.rect_coeff(n, d) for d in nk.divisors(n)
         )
 
 
 def test_rectangle_axioms():
     for n in (1, 2, 3, 4, 6):
-        for rect in oracle.rectangles(n):
+        for rect in oracle.rectangles_of(range(1, n + 1)):
             assert oracle.is_finest(oracle.meet(rect.pi, rect.tau))
             for a in rect.pi:
                 for b in rect.tau:
@@ -118,8 +118,8 @@ def test_k_rectangles_match_multinomial_census():
 
 
 def test_partial_rectangles():
-    assert len(oracle.partial_rectangles(2)) == 3
-    for rect in oracle.partial_rectangles(4):
+    assert len(oracle.partial_rectangles_of(range(1, 3))) == 3
+    for rect in oracle.partial_rectangles_of(range(1, 5)):
         assert oracle.is_finest(oracle.meet(rect.pi, rect.tau))
     for k in (1, 2, 3):
         for n in range(5):
@@ -139,7 +139,7 @@ def test_partial_rectangle_kernel_matches_the_meet_filter():
                 if oracle.is_finest(m):
                     want.append(tup)
             assert oracle._k_partial_rectangles_of(labels, k) == want, (k, n)
-    assert oracle.partial_rectangles(4) == [
+    assert oracle.partial_rectangles_of(range(1, 5)) == [
         oracle.Rect(*t) for t in oracle._k_partial_rectangles_of((1, 2, 3, 4), 2)
     ]
 
@@ -345,7 +345,7 @@ def test_induced_permutation_cycle_type():
     rng = random.Random(32)
     for n in (4, 6):
         labels = tuple(range(1, n + 1))
-        for rect in oracle.rectangles(n):
+        for rect in oracle.rectangles_of(range(1, n + 1)):
             for _ in range(3):
                 p1 = list(rect.pi)
                 rng.shuffle(p1)

@@ -82,7 +82,7 @@ def test_preconditions_reported_with_path():
 
 def test_eval_zi_examples():
     z = sp.eval_zi(sp.AProd(sp.Eplus(), sp.Eplus()), 4)
-    assert z.fix_value((4,)) == 8 == len(oracle.rectangles(4))
+    assert z.fix_value((4,)) == 8 == len(oracle.rectangles_of(range(1, 5)))
     assert sp.eval_zi(sp.X(), 3) == zi.zi_atom("X", 3)
     f, g = sp.Necklace(2), sp.Splus()
     assert sp.eval_zi(sp.Sum(f, g), 4) == zi.zi_add(sp.eval_zi(f, 4), sp.eval_zi(g, 4))
@@ -191,7 +191,7 @@ def test_partial_rect_mnr():
     assert sp.partial_rect_mnr(1, 1, 1) == 1
     want = sum(
         1
-        for rect in oracle.partial_rectangles(4)
+        for rect in oracle.partial_rectangles_of(range(1, 5))
         if len(rect.pi) == 2 and len(rect.tau) == 3
     )
     assert sp.partial_rect_mnr(2, 3, 4) == want
@@ -200,7 +200,7 @@ def test_partial_rect_mnr():
 def test_partial_rect_mnr_matches_oracle():
     for r in range(6):
         shapes = {}
-        for rect in oracle.partial_rectangles(r):
+        for rect in oracle.partial_rectangles_of(range(1, r + 1)):
             key = (len(rect.pi), len(rect.tau))
             shapes[key] = shapes.get(key, 0) + 1
         for m in range(5):

@@ -38,19 +38,27 @@ def test_atom_permutations():
 
 
 def test_atoms_match_oracle_fix():
+    # the parametric atoms to weight 6; at alpha = 3 the necklaces take seconds
+    # there, and _every_node_on checks them to weight 4
     atoms = {
-        "X": sp.X(),
-        "E": sp.E(),
-        "Ep": sp.Eplus(),
-        "L": sp.L(),
-        "Lp": sp.Lplus(),
-        "C": sp.C(),
-        "S": sp.S(),
-        "Sp": sp.Splus(),
+        "1": (sp.One(), 4),
+        "X": (sp.X(), 4),
+        "E": (sp.E(), 4),
+        "Ep": (sp.Eplus(), 4),
+        "L": (sp.L(), 4),
+        "Lp": (sp.Lplus(), 4),
+        "C": (sp.C(), 4),
+        "S": (sp.S(), 4),
+        "Sp": (sp.Splus(), 4),
+        "OnePlusXpow(2)": (sp.OnePlusXPow(2), 6),
+        "OnePlusXpow(6)": (sp.OnePlusXPow(6), 6),
+        "necklace(2)": (sp.Necklace(2), 6),
+        "aperiodic(2)": (sp.AperiodicNecklace(2), 6),
     }
-    for name, expr in atoms.items():
-        z = sp.eval_zi(expr, 4) if name in ("Ep", "Lp", "Sp") else zi.zi_atom(name, 4)
-        for w in range(5):
+    for name, (expr, bound) in atoms.items():
+        core = name in ("1", "X", "E", "L", "C", "S")
+        z = zi.zi_atom(name, bound) if core else sp.eval_zi(expr, bound)
+        for w in range(bound + 1):
             for lam in nk.int_partitions(w):
                 assert z.fix_value(lam) == oracle.fix_by_type(expr, lam), (name, lam)
 
@@ -64,6 +72,8 @@ def test_atom_ek():
         sp.eval_zi(sp.Ek(-1), 5)
     with pytest.raises(UnknownAtom):
         zi.zi_atom("Par", 5)
+    with pytest.raises(UnknownAtom):
+        zi.zi_atom("Par", -1)
 
 
 def test_zi_add_and_zero():
