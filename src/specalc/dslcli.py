@@ -34,6 +34,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from math import comb
 from typing import NamedTuple
 
 from . import numkit as nk
@@ -283,10 +284,23 @@ def _check_order(n: int, kind: str = "series"):
         raise DomainError(f"order {n} exceeds the configured maximum {cap}")
 
 
+def _check_oracle_order(n: int, command: str):
+    if n > oracle.ENUM_LIMIT:
+        raise ScaleLimit(f"{command} order {n} exceeds oracle limit {oracle.ENUM_LIMIT}")
+    _check_order(n)
+
+
 def _too_long() -> ScaleLimit:
     return ScaleLimit(
         f"record integer past the interpreter's {sys.get_int_max_str_digits()}-digit limit"
     )
+
+
+def _stop_past_digit_limit(log2_lower: int):
+    """Raise ``_too_long()`` now if a record value of at least 2^log2_lower is past the limit."""
+    digits = sys.get_int_max_str_digits()
+    if digits and log2_lower >= (10 ** digits).bit_length():
+        raise _too_long()
 
 
 def _dec(v: int) -> str:
@@ -351,9 +365,7 @@ def cmd_dirichlet(expr_text: str, n: int) -> dict:
 
 def cmd_enumerate(expr_text: str, n: int) -> dict:
     """Dump every structure on {1..n} as a tagged tree (the oracle's view)."""
-    if n > oracle.ENUM_LIMIT:
-        raise ScaleLimit(f"enumeration order {n} exceeds oracle limit {oracle.ENUM_LIMIT}")
-    _check_order(n)
+    _check_oracle_order(n, "enumeration")
     prog = parse(expr_text)
     structs = oracle.enumerate_structures(prog.ast, range(1, n + 1))
     return _record(
@@ -362,9 +374,7 @@ def cmd_enumerate(expr_text: str, n: int) -> dict:
 
 
 def cmd_check(expr_text: str, n: int) -> dict:
-    if n > oracle.ENUM_LIMIT:
-        raise ScaleLimit(f"check order {n} exceeds oracle limit {oracle.ENUM_LIMIT}")
-    _check_order(n)
+    _check_oracle_order(n, "check")
     prog = parse(expr_text)
     counts = sp.eval_counts(prog.ast, n)
     rows = []
@@ -382,25 +392,25 @@ def cmd_check(expr_text: str, n: int) -> dict:
 def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> dict:
     payload_rows = []
     # Rectangles are the arithmetic square of Ep, k-rectangles its k-th power.
-    if kind == "rect":
+    if kind in ("rect", "krect"):
         _check_order(n)
-        power = nk.aprod_power((0,) + (1,) * n, 2)
-        for i in range(1, n + 1):
-            payload_rows.append({"n": str(i), "value": _dec(power[i])})
-    elif kind == "krect":
-        _check_order(n)
-        if k < 1:
+        if kind == "rect":
+            k = 2
+        elif k < 1:
             raise DomainError("k must be >= 1")
+        # the value at the largest 2^a <= n is at least C(a + k - 1, a), one
+        # rectangle per ordered factorization of 2^a into k powers of two
+        a = max(n.bit_length() - 1, 0)
+        _stop_past_digit_limit(comb(a + k - 1, a).bit_length() - 1)
         power = nk.aprod_power((0,) + (1,) * n, k)
+        k_column = {"k": str(k)} if kind == "krect" else {}
         for i in range(1, n + 1):
-            payload_rows.append({"n": str(i), "k": str(k), "value": _dec(power[i])})
+            payload_rows.append({"n": str(i), **k_column, "value": _dec(power[i])})
     elif kind == "prect":
         _check_order(n)
         # the count at n is at least Bell(n)^(k-1) (the first partition the finest,
         # the others free); past the digit limit, stop before the Stirling transform
-        digits = sys.get_int_max_str_digits()
-        if digits and (k - 1) * (nk.bell(n).bit_length() - 1) >= (10 ** digits).bit_length():
-            raise _too_long()
+        _stop_past_digit_limit((k - 1) * (nk.bell(n).bit_length() - 1))
         counts = sp.pr_k_exact(k, n)
         for i, v in enumerate(counts):
             payload_rows.append({"n": str(i), "k": str(k), "value": _dec(v)})
@@ -602,21 +612,14 @@ def _build_argparser():
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
+    # looked up per call, so a rebinding of a cmd_* name after import is seen
+    builders = {"counts": cmd_counts, "types": cmd_types, "zindex": cmd_zindex,
+                "dirichlet": cmd_dirichlet, "check": cmd_check, "enumerate": cmd_enumerate}
     try:
-        if args.command == "counts":
-            record = cmd_counts(args.expr, args.n)
-        elif args.command == "types":
-            record = cmd_types(args.expr, args.n)
-        elif args.command == "zindex":
-            record = cmd_zindex(args.expr, args.n)
-        elif args.command == "dirichlet":
-            record = cmd_dirichlet(args.expr, args.n)
-        elif args.command == "check":
-            record = cmd_check(args.expr, args.n)
-        elif args.command == "enumerate":
-            record = cmd_enumerate(args.expr, args.n)
-        else:
+        if args.command == "table":
             record = cmd_table(args.kind, args.n, k=args.k, m=args.m, tol=args.tol)
+        else:
+            record = builders[args.command](args.expr, args.n)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -445,11 +445,7 @@ def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
         return _only(expr.n, _types(expr.f, order, path + (0,)))
     if isinstance(expr, Subst):
         return zi.ogf_plethysm(_zi(expr.f, order, path + (0,)), _types(expr.g, order, path + (1,)))
-    coeffs = zi.zi_to_ogf(_zi(expr, order, path), order).coeffs
-    for n, c in enumerate(coeffs):
-        if c.denominator != 1 or c < 0:
-            raise DomainError(f"type count at {n} is {c}, not a nonnegative integer")
-    return tuple(map(int, coeffs))
+    return zi.type_ints(zi.zi_to_ogf(_zi(expr, order, path), order).coeffs)
 
 
 # -- hyper-cloned rooted trees ---------------------------------------------------

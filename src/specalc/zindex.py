@@ -260,7 +260,7 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     x^lam[q] is memoised per partition as x^rest[q] * q(x_i, x_2i, ...),
     where i is the largest part of lam and rest is lam without one i.
     """
-    if any(nk.weight(lam) == 0 for lam in q.fix):
+    if () in q.fix:
         raise CompositionError("plethysm inner series has a weight-0 term")
     bound = min(p.bound, q.bound)
     graded_q = _graded(_monomials(q, bound))
@@ -338,14 +338,15 @@ def ogf_plethysm(p: CycleIndex, g) -> tuple[int, ...]:
         c = fact // nk.aut(lam) * int(v * den)
         for n, t in enumerate(substituted(lam)):
             acc[n] += c * t
-    out = []
-    for n, t in enumerate(acc):
-        q, r = divmod(t, fact * den)
-        if r or q < 0:
-            c = Fraction(t, fact * den)
+    return type_ints([Fraction(t, fact * den) for t in acc])
+
+
+def type_ints(coeffs) -> tuple[int, ...]:
+    """Rational type counts as ints; DomainError at the first that is not a nonnegative integer."""
+    for n, c in enumerate(coeffs):
+        if c.denominator != 1 or c < 0:
             raise DomainError(f"type count at {n} is {c}, not a nonnegative integer")
-        out.append(q)
-    return tuple(out)
+    return tuple(map(int, coeffs))
 
 
 def box_type(beta, gamma) -> tuple[int, ...]:
@@ -374,9 +375,8 @@ def zi_aprod(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     Both operands must have no weight-0 term; output term weights are the
     products of the input term weights.
     """
-    for r in (p, q):
-        if any(nk.weight(lam) == 0 for lam in r.fix):
-            raise ZeroConstantRequired("arithmetic product of index series needs no weight-0 term")
+    if () in p.fix or () in q.fix:
+        raise ZeroConstantRequired("arithmetic product of index series needs no weight-0 term")
     bound = min(p.bound, q.bound)
     graded_q = _graded(_monomials(q, bound))
     acc = {}

@@ -594,3 +594,94 @@ def test_cli_import_loads_no_dataclasses():
         check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def _rows_record(kind, n, rows):
+    """The ``table`` record with these rows, every value a decimal string."""
+    rows = [{key: str(v) for key, v in row.items()} for row in rows]
+    return {"command": f"table {kind}", "expression": "", "order": str(n), "payload": {"rows": rows}}
+
+
+_RECT_ROWS = [{"n": i, "value": v} for i, v in enumerate((1, 2, 2, 8, 2, 122), start=1)]
+_MNR_ROWS = [{"m": 2, "n": 3, "r": r, "value": v} for r, v in enumerate((0, 0, 0, 6, 12, 6, 1))]
+_PITTEL_ROWS = [
+    {"n": 0, "k": 2, "exact": 1, "numeric": "0.9999999999999989", "bound": "1.0951171661710881e-15"},
+    {"n": 1, "k": 2, "exact": 1, "numeric": "0.9999998886645389", "bound": "1.1151548316936965e-07"},
+    {"n": 2, "k": 2, "exact": 3, "numeric": "2.999999979917642", "bound": "2.1771928952444763e-08"},
+    {"n": 3, "k": 2, "exact": 15, "numeric": "14.999999995667075", "bound": "5.136982555086051e-09"},
+]
+
+
+@pytest.mark.parametrize(
+    "argv, plain, record",
+    [
+        (
+            ["rect", "--n", "6"],
+            "# table rect --n 6\nn=1 value=1\nn=2 value=2\nn=3 value=2\n"
+            "n=4 value=8\nn=5 value=2\nn=6 value=122\n",
+            _rows_record("rect", 6, _RECT_ROWS),
+        ),
+        (
+            ["rect", "--n", "6", "--k", "0"],
+            "# table rect --n 6\nn=1 value=1\nn=2 value=2\nn=3 value=2\n"
+            "n=4 value=8\nn=5 value=2\nn=6 value=122\n",
+            _rows_record("rect", 6, _RECT_ROWS),
+        ),
+        (
+            ["mnr", "--m", "2", "--n", "3"],
+            "# table mnr --n 3\nm=2 n=3 r=0 value=0\nm=2 n=3 r=1 value=0\n"
+            "m=2 n=3 r=2 value=0\nm=2 n=3 r=3 value=6\nm=2 n=3 r=4 value=12\n"
+            "m=2 n=3 r=5 value=6\nm=2 n=3 r=6 value=1\n",
+            _rows_record("mnr", 3, _MNR_ROWS),
+        ),
+        (
+            ["pittel", "--k", "2", "--n", "3"],
+            "# table pittel --n 3\n"
+            "n=0 k=2 exact=1 numeric=0.9999999999999989 bound=1.0951171661710881e-15\n"
+            "n=1 k=2 exact=1 numeric=0.9999998886645389 bound=1.1151548316936965e-07\n"
+            "n=2 k=2 exact=3 numeric=2.999999979917642 bound=2.1771928952444763e-08\n"
+            "n=3 k=2 exact=15 numeric=14.999999995667075 bound=5.136982555086051e-09\n",
+            _rows_record("pittel", 3, _PITTEL_ROWS),
+        ),
+    ],
+    ids=["rect", "rect-k0", "mnr", "pittel"],
+)
+def test_table_text_outside_the_golden_set(argv, plain, record, capsys):
+    assert main(["table", *argv]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["table", *argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(record, indent=2) + "\n"
+
+
+def test_main_calls_the_builder_bound_when_it_runs(monkeypatch, capsys):
+    # a tracer rebinds the cmd_* names after import; main must reach the new binding
+    stub = {"command": "counts", "expression": "stub", "order": "1", "payload": {"counts": ["7"]}}
+    monkeypatch.setattr(dslcli, "cmd_counts", lambda expr_text, n: stub)
+    assert main(["counts", "E", "--n", "1"]) == 0
+    assert capsys.readouterr().out == "# counts stub --n 1\nn=0 count=7\n"
+
+
+def test_krect_past_the_digit_limit_exits_4_before_any_power(monkeypatch, capsys):
+    # the value at 2^a is at least C(a + k - 1, a), the ordered factorizations of
+    # 2^a into k powers of two: at n=30 and a 4,001-digit k, about 16,000 digits
+    k = "9" * 4001
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        def no_power(*args):
+            raise AssertionError("aprod_power called")
+
+        with monkeypatch.context() as m:
+            m.setattr(nk, "aprod_power", no_power)
+            assert main(["table", "krect", "--k", k, "--n", "30"]) == 4
+            err = capsys.readouterr().err
+            assert err == "scale limit: record integer past the interpreter's 4300-digit limit\n"
+        # at n=3 the values are 1, k, k, all printable
+        assert main(["table", "krect", "--k", k, "--n", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "n=1 k=" + k + " value=1",
+            "n=2 k=" + k + " value=" + k,
+            "n=3 k=" + k + " value=" + k,
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
