@@ -20,9 +20,9 @@ column are computed from the offset it points at.
 The CLI prints machine-readable records (json, csv or plain text) and
 exits with 0 on success, 2 on parse errors (nesting past ``MAX_DEPTH`` and
 integers past the interpreter's digit limit included), 3 on
-precondition/domain errors and an ``--out`` file that cannot be opened, 4
-on scale limits (a record integer too long to print included), 5 when a
-check finds a mismatch.
+precondition/domain errors and an ``--out`` file that cannot be opened or
+written, 4 on scale limits (a record integer too long to print included),
+5 when a check finds a mismatch.
 """
 
 from __future__ import annotations
@@ -588,6 +588,14 @@ def _format_plain(record) -> str:
 
 # -- entry point ------------------------------------------------------------------------
 
+_EXPR_COMMANDS = ("counts", "types", "zindex", "dirichlet", "check", "enumerate")
+_FORMATS = ("json", "csv", "plain")
+_TABLE_KINDS = ("rect", "krect", "prect", "mnr", "pittel")
+# each command's options: the type argparse converts a value with, and the default
+_OPTIONS = {"--n": (int, None), "--format": (str, "plain"), "--out": (str, None)}
+_TABLE_OPTIONS = {**_OPTIONS, "--k": (int, 2), "--m": (int, 2), "--tol": (float, 1e-6)}
+
+
 def _build_argparser():
     ap = argparse.ArgumentParser(prog="specalc", description="exact species calculator")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -596,22 +604,57 @@ def _build_argparser():
         if needs_expr:
             p.add_argument("expr", help="species expression")
         p.add_argument("--n", type=int, required=True, help="truncation order")
-        p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
+        p.add_argument("--format", choices=_FORMATS, default="plain")
         p.add_argument("--out", help="write the record to this file instead of stdout")
 
-    for name in ("counts", "types", "zindex", "dirichlet", "check", "enumerate"):
+    for name in _EXPR_COMMANDS:
         common(sub.add_parser(name))
     pt = sub.add_parser("table")
-    pt.add_argument("kind", choices=("rect", "krect", "prect", "mnr", "pittel"))
+    pt.add_argument("kind", choices=_TABLE_KINDS)
     common(pt, needs_expr=False)
-    pt.add_argument("--k", type=int, default=2)
-    pt.add_argument("--m", type=int, default=2)
-    pt.add_argument("--tol", type=float, default=1e-6)
+    for name in ("--k", "--m", "--tol"):
+        kind, default = _TABLE_OPTIONS[name]
+        pt.add_argument(name, type=kind, default=default)
     return ap
 
 
+def _plain_args(argv):
+    """What ``_build_argparser().parse_args(argv)`` returns for an argv written
+    ``command positional (--name value)*``; None for any other argv.
+
+    Each name must be an exact option of the command, and neither the
+    positional nor a value may start with ``-``.  A value or choice argparse
+    would reject and a missing ``--n`` give None too, so argparse alone
+    words help and usage errors.  Building the parser costs a cold process
+    more than most requests' arithmetic.
+    """
+    if len(argv) < 4 or len(argv) % 2:
+        return None
+    command, positional = argv[0], argv[1]
+    if command == "table" and positional in _TABLE_KINDS:
+        options, args = _TABLE_OPTIONS, {"command": command, "kind": positional}
+    elif command in _EXPR_COMMANDS and not positional.startswith("-"):
+        options, args = _OPTIONS, {"command": command, "expr": positional}
+    else:
+        return None
+    args.update((name[2:], default) for name, (_, default) in options.items())
+    for name, value in zip(argv[2::2], argv[3::2]):
+        if name not in options or value.startswith("-"):
+            return None
+        try:
+            value = options[name][0](value)
+        except ValueError:
+            return None
+        if name == "--format" and value not in _FORMATS:
+            return None
+        args[name[2:]] = value
+    return argparse.Namespace(**args) if args["n"] is not None else None
+
+
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or _build_argparser().parse_args(argv)
     # looked up per call, so a rebinding of a cmd_* name after import is seen
     builders = {"counts": cmd_counts, "types": cmd_types, "zindex": cmd_zindex,
                 "dirichlet": cmd_dirichlet, "check": cmd_check, "enumerate": cmd_enumerate}
@@ -631,13 +674,14 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
     try:
-        target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            format_record(record, args.format, out)
+            out.write("\n")
     except OSError as e:
+        if not args.out:
+            raise  # a failed write to stdout is left to the interpreter
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    with target as out:
-        format_record(record, args.format, out)
-        out.write("\n")
     if args.command == "check" and not record["payload"]["all_match"]:
         return EXIT_MISMATCH
     return EXIT_OK

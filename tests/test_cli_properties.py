@@ -4,7 +4,9 @@ Every argv ends in one of the documented exit codes (0 success, 2 parse
 error, 3 precondition or domain error, 4 scale limit, 5 check mismatch),
 with no other exception and within a time budget.  The draws are random
 token strings, well-formed trees of every node kind, and ``table`` argv
-with edge values of every option, in any order.
+with edge values of every option, in any order.  Argv in and around the
+plain form ``command positional (--name value)*`` check that the plain
+argv reader gives argparse's namespace or leaves the argv to argparse.
 """
 
 import io
@@ -136,3 +138,84 @@ def test_table_argv_exit_with_a_documented_code(kind, data):
     options = data.draw(table_options)
     units = data.draw(st.permutations([[kind]] + [list(o) for o in options.items()]))
     run_cli(["table"] + [a for unit in units for a in unit])
+
+
+# -- the plain argv reader against argparse ---------------------------------------
+
+ARGV_COMMANDS = ("counts", "types", "zindex", "dirichlet", "check", "enumerate", "table", "tabel")
+ARGV_POSITIONALS = ("E", "comp(E, Ep)", "", " -E", "-E", "rect", "krect", "prect", "mnr", "pittel")
+INT_VALUES = ("3", "0", "12", "+5", "٣", " 7", "1_0", "9" * 5000)
+# values for each exact option name: what the plain form may use, and values
+# starting with "-", which argparse takes as a number ("-1") or an option
+DASH_VALUES = ("-1", "-inf", "-E")
+PLAIN_VALUES = {
+    "--n": INT_VALUES, "--k": INT_VALUES, "--m": INT_VALUES,
+    "--tol": INT_VALUES + ("1e-6", "nan", "inf", "0.5"),
+    "--format": ("json", "csv", "plain"), "--out": ("rec.txt", "", " 7", "E"),
+}
+OPTION_NAMES = tuple(PLAIN_VALUES) + ("--fo", "--form", "--ou", "--t", "--tolerance")
+OPTION_VALUES = ("x", "JSON", "E", "") + DASH_VALUES + tuple(
+    v for values in PLAIN_VALUES.values() for v in values
+)
+# tokens that stand alone: help, "=" forms, and a name whose value is missing
+OPTION_TOKENS = ("-h", "--help", "--n=3", "--format=json", "--out=", "--k=2", "--n", "--", "-n")
+
+plain_units = st.sampled_from(tuple(PLAIN_VALUES)).flatmap(
+    lambda name: st.sampled_from(PLAIN_VALUES[name] + DASH_VALUES).map(lambda value: [name, value])
+)
+other_units = st.one_of(
+    st.sampled_from(ARGV_POSITIONALS).map(lambda positional: [positional]),
+    st.tuples(st.sampled_from(OPTION_NAMES), st.sampled_from(OPTION_VALUES)).map(list),
+    st.sampled_from(OPTION_TOKENS).map(lambda token: [token]),
+)
+
+
+@st.composite
+def argvs(draw):
+    """The plain form, mostly with ``--n``, and up to three more options in any
+    order, then up to two other units (a positional, any option and value, a
+    lone token) put anywhere after the command."""
+    n_unit = st.sampled_from(INT_VALUES).map(lambda value: [["--n", value]])
+    units = draw(st.one_of(n_unit, n_unit, n_unit, st.just([])))
+    units += draw(st.lists(plain_units, max_size=3))
+    units = [[draw(st.sampled_from(ARGV_POSITIONALS))]] + draw(st.permutations(units))
+    for unit in draw(st.lists(other_units, max_size=2)):
+        units.insert(draw(st.integers(0, len(units))), unit)
+    return [draw(st.sampled_from(ARGV_COMMANDS))] + [token for unit in units for token in unit]
+
+
+def _same_value(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
+
+
+def _read_as_argparse_does(argv):
+    """``_plain_args(argv)``, after checking it is None or argparse's namespace."""
+    plain = dslcli._plain_args(argv)
+    if plain is None:
+        return None
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            parsed = vars(dslcli._build_argparser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse exits on {argv!r} read as {vars(plain)!r}: {err.getvalue()}")
+    assert vars(plain).keys() == parsed.keys(), argv
+    assert all(_same_value(v, parsed[key]) for key, v in vars(plain).items()), (argv, plain, parsed)
+    return plain
+
+
+@settings(_SETTINGS, max_examples=2000)
+@given(argvs())
+def test_plain_argv_reader_agrees_with_argparse(argv):
+    _read_as_argparse_does(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # argparse checks the choices at every occurrence, not only the last
+        (["check", "E", "--format", "+5", "--n", "7", "--format", "plain"], False),
+        (["counts", "E", "--n", "٣"], True),
+    ],
+)
+def test_plain_argv_reader_pinned_cases(argv, read):
+    assert (_read_as_argparse_does(argv) is not None) == read

@@ -685,3 +685,122 @@ def test_krect_past_the_digit_limit_exits_4_before_any_power(monkeypatch, capsys
         ]
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+class _FailingStream(io.StringIO):
+    """An ``--out`` file whose write or close fails as a full disk does."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def close(self):
+        super().close()
+        if self.fail_on == "close":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "close"])
+def test_out_file_that_cannot_be_written_exits_3(fail_on, monkeypatch, capsys):
+    monkeypatch.setattr(dslcli, "open", lambda *a, **k: _FailingStream(fail_on), raising=False)
+    assert main(["counts", "E", "--n", "3", "--out", "rec.txt"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_file_on_a_full_device_exits_3(capsys):
+    assert main(["counts", "E", "--n", "3", "--out", "/dev/full"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 28] ")
+    assert "Traceback" not in captured.err
+
+
+# Help and usage errors come from argparse alone; recorded with Python 3.11 at
+# COLUMNS=80, before the plain argv reader existed.  Python 3.10 heads the
+# option list "optional arguments:" instead of "options:".
+_USAGE_COUNTS = "usage: specalc counts [-h] --n N [--format {json,csv,plain}] [--out OUT] expr\n"
+_USAGE_TABLE = (
+    "usage: specalc table [-h] --n N [--format {json,csv,plain}] [--out OUT]\n"
+    "                     [--k K] [--m M] [--tol TOL]\n"
+    "                     {rect,krect,prect,mnr,pittel}\n"
+)
+_OPTION_HELP = (
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --n N                 truncation order\n"
+    "  --format {json,csv,plain}\n"
+    "  --out OUT             write the record to this file instead of stdout\n"
+)
+_HELP = {
+    "": (
+        "usage: specalc [-h] {counts,types,zindex,dirichlet,check,enumerate,table} ...\n\n"
+        "exact species calculator\n\n"
+        "positional arguments:\n"
+        "  {counts,types,zindex,dirichlet,check,enumerate,table}\n\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "counts": (
+        _USAGE_COUNTS + "\npositional arguments:\n"
+        "  expr                  species expression\n\n" + _OPTION_HELP
+    ),
+    "table": (
+        _USAGE_TABLE + "\npositional arguments:\n"
+        "  {rect,krect,prect,mnr,pittel}\n\n" + _OPTION_HELP
+        + "  --k K\n  --m M\n  --tol TOL\n"
+    ),
+}
+_USAGE_ERRORS = {
+    ("counts", "E"): _USAGE_COUNTS
+    + "specalc counts: error: the following arguments are required: --n\n",
+    ("counts", "E", "--n", "x"): _USAGE_COUNTS
+    + "specalc counts: error: argument --n: invalid int value: 'x'\n",
+    ("counts", "E", "--n", "3", "--format", "JSON"): _USAGE_COUNTS
+    + "specalc counts: error: argument --format: invalid choice: 'JSON'"
+    " (choose from 'json', 'csv', 'plain')\n",
+    ("table", "bogus", "--n", "3"): _USAGE_TABLE
+    + "specalc table: error: argument kind: invalid choice: 'bogus'"
+    " (choose from 'rect', 'krect', 'prect', 'mnr', 'pittel')\n",
+}
+
+
+def _for_this_python(text):
+    if sys.version_info < (3, 11):
+        return text.replace("\noptions:\n", "\noptional arguments:\n")
+    return text
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_help_text_is_argparse_byte_for_byte(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (_for_this_python(_HELP[command]), "")
+
+
+@pytest.mark.parametrize("argv", list(_USAGE_ERRORS))
+def test_usage_errors_are_argparse_byte_for_byte(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", _USAGE_ERRORS[argv])
+
+
+def test_abbreviated_and_equals_options_give_the_plain_record(capsys):
+    assert main(["counts", "E", "--n", "3", "--format", "json"]) == 0
+    plain = capsys.readouterr().out
+    assert dslcli._plain_args(["counts", "E", "--n=3", "--form", "json"]) is None
+    assert main(["counts", "E", "--n=3", "--form", "json"]) == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["payload"]["counts"] == ["1", "1", "1", "1"]
