@@ -20,7 +20,9 @@ each of ``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``;
 a new atom (a node with no expression argument) needs no ``_counts`` or
 ``_zi`` branch, only one ``zindex`` fix-value entry under its source name
 (and a place among the atoms ``zi_atom`` walks at every cycle type if it
-fixes structures off the equal-part types).
+fixes structures off the equal-part types).  An operand that must have
+no structures on the empty set is one ``_EMPTY_FREE`` entry, which
+``validate`` reads.
 It needs a ``_types`` branch only if its type series follows from its
 operands' type series; otherwise ``_types`` specialises its cycle index.
 The class is the one place the kind is declared: the grammar of
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import gcd, inf
 from operator import add, mul
 
 from . import numkit as nk
@@ -275,33 +277,37 @@ def core(expr: SpeciesExpr) -> SpeciesExpr:
 
 # -- preconditions -------------------------------------------------------------
 
+# The operands, by position, that must have no structures on the empty set.
+_EMPTY_FREE = {
+    AProd: ((0, 1), "arithmetic product operand has structures on the empty set"),
+    Subst: ((1,), "substitution inner operand has structures on the empty set"),
+}
+
+
 def validate(expr: SpeciesExpr) -> None:
     """Eagerly check the emptiness preconditions everywhere in the tree.
 
-    Arithmetic-product operands and substitution inner operands must have
-    no structures on the empty set; the first offender is reported with
-    its node path.  Children are checked before their parent, so the
-    order-0 counts read here never meet a kernel precondition.
+    The operands ``_EMPTY_FREE`` names must have no structures on the
+    empty set; the first offender is reported with its node path.
+    Children are checked before their parent, so the order-0 counts read
+    here never meet a kernel precondition.
     """
 
     def rec(node, path):
-        for i, ch in enumerate(children(node)):
+        kids = children(node)
+        for i, ch in enumerate(kids):
             rec(ch, path + (i,))
-        if isinstance(node, AProd):
-            for i, ch in enumerate((node.f, node.g)):
-                if _counts(ch, 0)[0]:
-                    raise PreconditionViolated(
-                        path + (i,),
-                        "arithmetic product operand has structures on the empty set",
-                    )
-        elif isinstance(node, Subst):
-            if _counts(node.g, 0)[0]:
-                raise PreconditionViolated(
-                    path + (1,),
-                    "substitution inner operand has structures on the empty set",
-                )
+        operands, message = _EMPTY_FREE.get(type(node), ((), None))
+        for i in operands:
+            if _counts(kids[i], 0)[0]:
+                raise PreconditionViolated(path + (i,), message)
 
     rec(expr, ())
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise DomainError(f"order must be nonnegative, got {order}")
 
 
 # -- labelled count evaluator ----------------------------------------------------
@@ -350,12 +356,14 @@ def _egf(expr: SpeciesExpr, order: int) -> TruncSeries:
 
 def eval_egf(expr: SpeciesExpr, order: int) -> TruncSeries:
     """Exponential generating series of the expression, exact to the order."""
+    _check_order(order)
     validate(expr)
     return _egf(expr, order)
 
 
 def eval_counts(expr: SpeciesExpr, order: int) -> list[int]:
     """Labelled counts |F[0]| .. |F[order]|."""
+    _check_order(order)
     validate(expr)
     out = list(_counts(expr, order))
     for n, v in enumerate(out):
@@ -468,18 +476,12 @@ def is_multiplicative(counts) -> tuple[bool, tuple[int, int] | None]:
     top = len(counts) - 1
     if top >= 1 and counts[1] != 1:
         return False, (1, 1)
-    from math import gcd
-
-    pairs = []
-    for r in range(2, top + 1):
-        for s in range(r + 1, top + 1):
-            if r * s <= top and gcd(r, s) == 1:
-                pairs.append((r, s))
-    pairs.sort(key=lambda p: (p[0] * p[1], p[0]))
-    for r, s in pairs:
-        expect = nk.rect_coeff(r * s, r) * counts[r] * counts[s]
-        if counts[r * s] != expect:
-            return False, (r, s)
+    for m in range(2, top + 1):
+        for r in nk.divisors(m):
+            s = m // r
+            if 2 <= r < s and gcd(r, s) == 1:
+                if counts[m] != nk.rect_coeff(m, r) * counts[r] * counts[s]:
+                    return False, (r, s)
     return True, None
 
 
@@ -548,6 +550,7 @@ def pr_k_exact(k: int, order: int) -> list[int]:
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
+    _check_order(order)
     out = nk.stirling1_transform([nk.bell(n) ** k for n in range(order + 1)])
     assert all(v >= 0 for v in out)
     return out

@@ -7,9 +7,12 @@ exact fix-values; the polynomial it denotes is
 
 Keys of weight above the bound are rejected and zero values are never
 stored, so for an actual species every stored value is a positive
-integer.  The arithmetic-product rule and the Hadamard rule act directly
-on fix-values; the product, plethysm and arithmetic product convert to
+integer.  The sum, the Hadamard product and pointing act directly on
+fix-values; the product, plethysm and arithmetic product convert to
 monomial coefficients (fix/aut) internally and convert back at the end.
+A two-operand kernel works at the smaller of its operands' bounds and
+reads each operand's terms there through ``_terms``, which returns the
+index's own dict at its own bound and a truncated copy otherwise.
 
 The kernels grade their operands by weight, computing each term's weight
 once, and walk the weight buckets in ascending order: the product stops
@@ -21,7 +24,8 @@ lam with one largest part removed (Bergeron, Labelle and Leroux,
 Combinatorial Species and Tree-like Structures, section 4.3), so each
 distinct partition costs one truncated product.  ``ogf_plethysm`` walks
 the same partitions on integer type series: it substitutes g(x^i) for
-x_i and never forms the multivariate result.
+x_i and never forms the multivariate result.  Both take their products
+from one memoised walk, ``_power_walk``.
 """
 
 from __future__ import annotations
@@ -153,23 +157,26 @@ def zi_atom(name: str, bound: int, *params) -> CycleIndex:
     return CycleIndex(bound, {lam: v for lam, n in types if (v := fix(lam, n, *params))})
 
 
+def _terms(p: CycleIndex, bound: int) -> dict:
+    """p's {partition: fix} terms of weight at most bound: p.fix itself at p's own bound."""
+    if bound == p.bound:
+        return p.fix
+    return {lam: v for lam, v in p.fix.items() if nk.weight(lam) <= bound}
+
+
 def zi_add(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     bound = min(p.bound, q.bound)
-    fix = {}
-    for lam in set(p.fix) | set(q.fix):
-        if nk.weight(lam) <= bound:
-            fix[lam] = p.fix_value(lam) + q.fix_value(lam)
+    fix = dict(_terms(p, bound))
+    for lam, v in _terms(q, bound).items():
+        fix[lam] = fix.get(lam, _ZERO) + v
     return CycleIndex(bound, fix)
 
 
 def zi_hadamard(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     """fix-wise product: structures on both sides fixed by the same permutation."""
     bound = min(p.bound, q.bound)
-    fix = {}
-    for lam, v in p.fix.items():
-        if lam in q.fix and nk.weight(lam) <= bound:
-            fix[lam] = v * q.fix[lam]
-    return CycleIndex(bound, fix)
+    fq = _terms(q, bound)
+    return CycleIndex(bound, {lam: v * fq[lam] for lam, v in _terms(p, bound).items() if lam in fq})
 
 
 def zi_point(p: CycleIndex) -> CycleIndex:
@@ -229,11 +236,7 @@ def _mono_mul(a, b, bound):
 
 
 def _monomials(p, bound):
-    return {
-        lam: v / nk.aut(lam)
-        for lam, v in p.fix.items()
-        if nk.weight(lam) <= bound
-    }
+    return {lam: v / nk.aut(lam) for lam, v in _terms(p, bound).items()}
 
 
 def _from_monomials(bound, mono):
@@ -254,6 +257,19 @@ def _drop_largest_part(lam):
     return rest
 
 
+def _power_walk(unit, mul, scaled):
+    """The memoised power of each partition lam: unit at (), else
+    mul(power of lam without one largest part i, scaled(i))."""
+    power = {(): unit}
+
+    def substituted(lam):
+        if lam not in power:
+            power[lam] = mul(substituted(_drop_largest_part(lam)), scaled(len(lam)))
+        return power[lam]
+
+    return substituted
+
+
 def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     """Plethystic substitution: x_i in p becomes q(x_i, x_2i, x_3i, ...).
 
@@ -265,7 +281,6 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     bound = min(p.bound, q.bound)
     graded_q = _graded(_monomials(q, bound))
     scaled = {}
-    power = {(): {(): Fraction(1)}}
 
     def q_scaled(i):
         if i not in scaled:
@@ -277,16 +292,9 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
             }
         return scaled[i]
 
-    def substituted(lam):
-        if lam not in power:
-            power[lam] = _mono_mul(substituted(_drop_largest_part(lam)), q_scaled(len(lam)), bound)
-        return power[lam]
-
+    substituted = _power_walk({(): Fraction(1)}, lambda a, b: _mono_mul(a, b, bound), q_scaled)
     acc = {}
-    for lam, v in p.fix.items():
-        if nk.weight(lam) > bound:
-            continue
-        c = v / nk.aut(lam)
+    for lam, c in _monomials(p, bound).items():
         for mu, cm in substituted(lam).items():
             acc[mu] = acc.get(mu, _ZERO) + c * cm
     return _from_monomials(bound, acc)
@@ -317,20 +325,16 @@ def ogf_plethysm(p: CycleIndex, g) -> tuple[int, ...]:
     bound! (times the fix-values' denominators), with one division at the
     end.
     """
+    bound = p.bound
+    if len(g) <= bound:
+        raise DomainError(f"inner type series has {len(g)} terms, needs {bound + 1}")
     if g[0]:
         raise CompositionError("plethysm inner series has a weight-0 term")
-    bound = p.bound
     scaled = {}
     for i in range(1, bound + 1):
         scaled[i] = [0] * (bound + 1)
         scaled[i][i::i] = g[1 : bound // i + 1]
-    power = {(): (1,) + (0,) * bound}
-
-    def substituted(lam):
-        if lam not in power:
-            power[lam] = ogf_mul(substituted(_drop_largest_part(lam)), scaled[len(lam)])
-        return power[lam]
-
+    substituted = _power_walk((1,) + (0,) * bound, ogf_mul, scaled.__getitem__)
     fact = nk.factorial(bound)
     den = lcm(*(v.denominator for v in p.fix.values()))
     acc = [0] * (bound + 1)

@@ -143,6 +143,28 @@ def test_is_multiplicative():
     assert sp.is_multiplicative(sp.eval_counts(sp.Lplus(), 30)) == (True, None)
     ok, witness = sp.is_multiplicative(sp.eval_counts(sp.Eplus(), 30))
     assert not ok and witness == (2, 3)
+    # the witness is the failing pair with the smallest product r*s
+    counts = list(c_counts)
+    counts[12] += 1
+    assert sp.is_multiplicative(counts) == (False, (3, 4))
+    counts[10] += 1
+    assert sp.is_multiplicative(counts) == (False, (2, 5))
+
+
+def test_negative_order_is_a_domain_error():
+    for call in (
+        lambda: sp.eval_counts(sp.E(), -1),
+        lambda: sp.eval_counts(sp.Derivative(sp.L()), -1),
+        lambda: sp.hct_counts(sp.E(), -1),
+        lambda: sp.pr_k_exact(2, -1),
+        lambda: sp.eval_egf(sp.E(), -1),
+        lambda: sp.cyclotomic_check(2, -1),
+    ):
+        with pytest.raises(DomainError, match="order must be nonnegative, got -1"):
+            call()
+    for call in (sp.eval_zi, sp.eval_ogf, sp.type_counts):
+        with pytest.raises(DomainError):
+            call(sp.E(), -1)
 
 
 def test_euler_reconstruct():

@@ -135,6 +135,21 @@ def test_ogf_plethysm_is_the_specialised_plethysm():
                 zi.ogf_plethysm(p, g)
     with pytest.raises(CompositionError):
         zi.ogf_plethysm(zi.zi_atom("C", b), [1] * (b + 1))
+    # g needs a term at every weight up to the bound, and is read only that far
+    for g in ([0, 1], []):
+        with pytest.raises(DomainError, match="inner type series has"):
+            zi.ogf_plethysm(zi.zi_atom("E", 4), g)
+    assert zi.ogf_plethysm(zi.zi_atom("E", 4), [0] + [1] * 7) == (1, 1, 2, 3, 5)
+
+
+def test_kernels_truncate_operands_to_the_smaller_bound():
+    exprs = (sp.Eplus(), sp.C(), sp.Lplus())
+    for kernel in (zi.zi_add, zi.zi_hadamard, zi.zi_mul, zi.zi_plethysm, zi.zi_aprod):
+        for f, g in itertools.product(exprs, repeat=2):
+            want = kernel(sp.eval_zi(f, 4), sp.eval_zi(g, 4))
+            for a, b in ((6, 4), (4, 6)):
+                got = kernel(sp.eval_zi(f, a), sp.eval_zi(g, b))
+                assert got.bound == 4 and got == want, (kernel.__name__, f, g, a, b)
 
 
 def test_zi_hadamard():
