@@ -278,8 +278,7 @@ def _max_n(kind: str) -> int:
 
 def _check_order(n: int, kind: str = "series"):
     cap = _max_n(kind)
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got {n}")
+    sp._check_order(n)
     if n > cap:
         raise DomainError(f"order {n} exceeds the configured maximum {cap}")
 

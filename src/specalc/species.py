@@ -376,6 +376,7 @@ def eval_counts(expr: SpeciesExpr, order: int) -> list[int]:
 
 def eval_zi(expr: SpeciesExpr, bound: int) -> zi.CycleIndex:
     """Cycle index of the expression, exact to the weight bound."""
+    _check_order(bound)
     validate(expr)
     return _zi(expr, bound, ())
 
@@ -437,6 +438,7 @@ def eval_ogf(expr: SpeciesExpr, order: int) -> TruncSeries:
 
 def type_counts(expr: SpeciesExpr, order: int) -> list[int]:
     """Unlabelled counts on integer type series, asserting integrality."""
+    _check_order(order)
     validate(expr)
     return list(_types(expr, order, ()))
 

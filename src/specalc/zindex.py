@@ -11,8 +11,8 @@ integer.  The sum, the Hadamard product and pointing act directly on
 fix-values; the product, plethysm and arithmetic product convert to
 monomial coefficients (fix/aut) internally and convert back at the end.
 A two-operand kernel works at the smaller of its operands' bounds and
-reads each operand's terms there through ``_terms``, which returns the
-index's own dict at its own bound and a truncated copy otherwise.
+reads each operand's terms there through ``_terms``, which returns a
+new dict of the terms of weight at most that bound.
 
 The kernels grade their operands by weight, computing each term's weight
 once, and walk the weight buckets in ascending order: the product stops
@@ -158,15 +158,13 @@ def zi_atom(name: str, bound: int, *params) -> CycleIndex:
 
 
 def _terms(p: CycleIndex, bound: int) -> dict:
-    """p's {partition: fix} terms of weight at most bound: p.fix itself at p's own bound."""
-    if bound == p.bound:
-        return p.fix
+    """A new dict of p's {partition: fix} terms of weight at most bound."""
     return {lam: v for lam, v in p.fix.items() if nk.weight(lam) <= bound}
 
 
 def zi_add(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     bound = min(p.bound, q.bound)
-    fix = dict(_terms(p, bound))
+    fix = _terms(p, bound)
     for lam, v in _terms(q, bound).items():
         fix[lam] = fix.get(lam, _ZERO) + v
     return CycleIndex(bound, fix)

@@ -149,6 +149,10 @@ def test_is_multiplicative():
     assert sp.is_multiplicative(counts) == (False, (3, 4))
     counts[10] += 1
     assert sp.is_multiplicative(counts) == (False, (2, 5))
+    # of the pairs (2, 15), (3, 10), (5, 6) sharing a product, the smallest r
+    counts = list(c_counts)
+    counts[30] += 1
+    assert sp.is_multiplicative(counts) == (False, (2, 15))
 
 
 def test_negative_order_is_a_domain_error():
@@ -159,12 +163,12 @@ def test_negative_order_is_a_domain_error():
         lambda: sp.pr_k_exact(2, -1),
         lambda: sp.eval_egf(sp.E(), -1),
         lambda: sp.cyclotomic_check(2, -1),
+        lambda: sp.eval_zi(sp.E(), -1),
+        lambda: sp.eval_ogf(sp.E(), -1),
+        lambda: sp.type_counts(sp.E(), -1),
     ):
         with pytest.raises(DomainError, match="order must be nonnegative, got -1"):
             call()
-    for call in (sp.eval_zi, sp.eval_ogf, sp.type_counts):
-        with pytest.raises(DomainError):
-            call(sp.E(), -1)
 
 
 def test_euler_reconstruct():

@@ -67,7 +67,7 @@ def test_type_count_errors_match_the_whole_cycle_index(text, n, cls, path):
     assert got == _outcome(_ogf_counts, expr, n)
     assert got[1] is cls and got[3] == path
     if n < 0:  # the CLI rejects a negative order before evaluating
-        assert got[2] == "weight bound must be >= 0, got -1"
+        assert got[2] == "order must be nonnegative, got -1"
         return
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
