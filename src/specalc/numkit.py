@@ -11,7 +11,8 @@ their descending part lists — for n = 3: (3), (2,1), (1,1,1) — and that
 order is the canonical one for all deterministic output.
 
 The count kernels at the end take labelled count sequences |F[0]|, |F[1]|,
-... of equal length and return the counts of the species built from them.
+... of equal length and return the counts of the species built from them;
+``dirichlet_convolution`` among them is the arithmetic product of type series.
 """
 
 from __future__ import annotations
@@ -288,6 +289,19 @@ def rect_divisor_sum(m: int, f, g) -> int:
     """The sum over d | m of rect_coeff(m, d) f_d g_(m/d)."""
     return sum(
         rect_coeff(m, d) * f[d] * g[m // d] for d in divisors(m) if f[d] and g[m // d]
+    )
+
+
+def dirichlet_convolution(f, g) -> tuple[int, ...]:
+    """h_m = sum over d | m of f_d g_(m/d) for m >= 1, and h_0 = 0; as long as f.
+
+    On type series this is the arithmetic product's: a type of F ⊡ G on m
+    points is a type of F on d points and one of G on m/d points, since
+    the stabiliser of a d x (m/d) rectangle is S_d x S_(m/d).
+    """
+    return (0,) + tuple(
+        sum(f[d] * g[m // d] for d in divisors(m) if f[d] and g[m // d])
+        for m in range(1, len(f))
     )
 
 

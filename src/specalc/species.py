@@ -12,8 +12,10 @@ operation, ``hct`` included; an atom's counts are its fix-values
 cycle index is built from.  ``eval_counts`` asserts that every count is
 nonnegative.  The ``Fraction`` kernels of ``series`` are the independent
 route the tests compare them against.  Type counts (``type_counts``) are
-``int`` tuples too, from ``_types``; ``eval_ogf``, which specialises the
-whole cycle index, is their independent route.
+``int`` tuples too, from ``_types``, where the arithmetic product is the
+Dirichlet convolution of its operands' type series; ``eval_ogf``, which
+specialises the whole cycle index (``zi_aprod`` for ``aprod``), is their
+independent route.
 
 A new node kind is one ``SpeciesExpr`` subclass here and one branch in
 each of ``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``;
@@ -23,8 +25,9 @@ a new atom (a node with no expression argument) needs no ``_counts`` or
 fixes structures off the equal-part types).  An operand that must have
 no structures on the empty set is one ``_EMPTY_FREE`` entry, which
 ``validate`` reads.
-It needs a ``_types`` branch only if its type series follows from its
-operands' type series; otherwise ``_types`` specialises its cycle index.
+It needs a ``_types`` branch (a ``_TYPE_RULES`` entry for a binary node)
+only if its type series follows from its operands' type series; otherwise
+``_types`` specialises its cycle index.
 The class is the one place the kind is declared: the grammar of
 ``dslcli``, the printer and the argument errors read its source name
 ``name``, and its annotated fields are its arguments (an ``int`` field
@@ -443,12 +446,26 @@ def type_counts(expr: SpeciesExpr, order: int) -> list[int]:
     return list(_types(expr, order, ()))
 
 
+# The binary nodes whose type series follows from their operands' type series.
+_TYPE_RULES = {
+    Sum: lambda f, g: tuple(map(add, f, g)),
+    Prod: zi.ogf_mul,
+    AProd: nk.dirichlet_convolution,
+}
+
+
 def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
-    """Type counts of the node, from its operands' type counts where they suffice."""
+    """Type counts of the node, from its operands' type counts where they suffice.
+
+    ``aprod`` is the Dirichlet convolution sum_(d | n) types(F)[d] types(G)[n/d],
+    so ``F ⊡ Lp`` is the Lambert form sum_(d | n) types(F)[d].  Operand 0 is
+    evaluated before operand 1, as in ``_zi``, so an error below a binary
+    node names the same path on both routes.
+    """
     expr = core(expr)
-    if isinstance(expr, (Sum, Prod)):
-        f, g = _types(expr.f, order, path + (0,)), _types(expr.g, order, path + (1,))
-        return tuple(map(add, f, g)) if isinstance(expr, Sum) else zi.ogf_mul(f, g)
+    rule = _TYPE_RULES.get(type(expr))
+    if rule:
+        return rule(_types(expr.f, order, path + (0,)), _types(expr.g, order, path + (1,)))
     if isinstance(expr, NonEmpty):
         return (0,) + _types(expr.f, order, path + (0,))[1:]
     if isinstance(expr, Restrict):
