@@ -314,6 +314,8 @@ def aprod_counts(f, g) -> tuple[int, ...]:
 
 def aprod_power(f, k: int) -> tuple[int, ...]:
     """The k-th arithmetic-product power of f, k >= 0, by squaring; the 0th is X's counts."""
+    if k < 0:
+        raise DomainError(f"arithmetic-product power with negative exponent {k}")
     out = tuple(int(m == 1) for m in range(len(f)))
     while k:
         if k & 1:

@@ -172,6 +172,8 @@ def k_rectangles(n: int, k: int):
         raise ScaleLimit(f"k_rectangles({n}) exceeds limit {ENUM_LIMIT}")
     if k < 1:
         raise DomainError("dimension k must be >= 1")
+    if n < 0:
+        raise DomainError("negative ground set size")
     return list(_k_rectangles_of(tuple(range(1, n + 1)), k))
 
 

@@ -17,24 +17,24 @@ Dirichlet convolution of its operands' type series; ``eval_ogf``, which
 specialises the whole cycle index (``zi_aprod`` for ``aprod``), is their
 independent route.
 
-A new node kind is one ``SpeciesExpr`` subclass here and one branch in
-each of ``_counts``, ``_zi``, ``oracle._enum`` and ``oracle._transport``;
-a new atom (a node with no expression argument) needs no ``_counts`` or
-``_zi`` branch, only one ``zindex`` fix-value entry under its source name
-(and a place among the atoms ``zi_atom`` walks at every cycle type if it
-fixes structures off the equal-part types).  An operand that must have
-no structures on the empty set is one ``_EMPTY_FREE`` entry, which
-``validate`` reads.
-It needs a ``_types`` branch (a ``_TYPE_RULES`` entry for a binary node)
-only if its type series follows from its operands' type series; otherwise
-``_types`` specialises its cycle index.
+A new node kind is one ``SpeciesExpr`` subclass here, one ``_RULES`` row
+(its count rule, its ``zindex`` cycle-index kernel or the noun of the
+error where it has none, and its type rule where its operands' type series
+suffice; otherwise ``_types`` specialises its cycle index) and one branch
+in each of ``oracle._enum`` and ``oracle._transport``; a node that keeps
+its operand at some sizes only is one ``_MASKS`` predicate instead of a
+row.  A new atom (a node with no expression argument) needs no row, only
+one ``zindex`` fix-value entry under its source name (and a place among
+the atoms ``zi_atom`` walks at every cycle type if it fixes structures off
+the equal-part types).  An operand that must have no structures on the
+empty set is one ``_EMPTY_FREE`` entry, which ``validate`` reads.
 The class is the one place the kind is declared: the grammar of
 ``dslcli``, the printer and the argument errors read its source name
 ``name``, and its annotated fields are its arguments (an ``int`` field
 takes a nonnegative integer, any other an expression; the
 expression-valued ones are its ``children``).  Its count on the empty
 set is ``_counts(expr, 0)[0]``.  A node that only abbreviates a core form
-is one ``_SUGAR`` entry instead of those branches: ``Ep``, ``Lp`` and
+is one ``_SUGAR`` entry instead of a row: ``Ep``, ``Lp`` and
 ``Sp`` are ``plus(E)``, ``plus(L)`` and ``plus(S)``; ``Ek(k)`` and
 ``Xpow(n)`` are ``restrict(E, k)`` and ``restrict(L, n)``.
 """
@@ -313,6 +313,43 @@ def _check_order(order: int) -> None:
         raise DomainError(f"order must be nonnegative, got {order}")
 
 
+# -- one rule row per node kind -------------------------------------------------
+
+# One row per composite node kind: its labelled-count rule on the operands'
+# counts; its cycle-index kernel, by name on ``zindex`` (looked up at call
+# time), or the noun of the error where it has no cycle index; and its
+# type-count rule on the operands' type series, where those suffice.
+_termwise_sum = lambda f, g: tuple(map(add, f, g))
+_RULES = {
+    Sum: (_termwise_sum, "zi_add", _termwise_sum),
+    Prod: (nk.product_counts, "zi_mul", zi.ogf_mul),
+    Cartesian: (lambda f, g: tuple(map(mul, f, g)), "zi_hadamard", None),
+    Subst: (nk.compose_counts, "zi_plethysm", None),
+    AProd: (nk.aprod_counts, "zi_aprod", nk.dirichlet_convolution),
+    MAProd: (nk.maprod_counts, "the modified arithmetic product", None),
+    Point: (lambda f: tuple(n * c for n, c in enumerate(f)), "zi_point", None),
+    HCT: (nk.hct_counts, "hyper-cloned trees", None),
+}
+
+# The nodes that keep their operand at the sizes one predicate accepts.
+_MASKS = {
+    NonEmpty: lambda e, n: n > 0,
+    Restrict: lambda e, n: n == e.n,
+}
+
+
+def _rule(expr: SpeciesExpr):
+    """The node's ``_RULES`` row; an unknown node is a ``DomainError``."""
+    if type(expr) not in _RULES:
+        raise DomainError(f"unknown expression node {expr!r}")
+    return _RULES[type(expr)]
+
+
+def _masked(expr: SpeciesExpr, values) -> tuple[int, ...]:
+    """The operand's values kept at the sizes the node's mask accepts, 0 elsewhere."""
+    return tuple(v if _MASKS[type(expr)](expr, n) else 0 for n, v in enumerate(values))
+
+
 # -- labelled count evaluator ----------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -322,34 +359,11 @@ def _counts(expr: SpeciesExpr, order: int) -> tuple[int, ...]:
     if expr.fields == expr.int_fields:  # an atom: its fix-values at the identity types
         identity = [()] + [(n,) for n in range(1, order + 1)]
         return tuple(zi.atom_fix(expr.name, lam, *expr.args) for lam in identity)
-    if isinstance(expr, Sum):
-        return tuple(map(add, _counts(expr.f, order), _counts(expr.g, order)))
-    if isinstance(expr, Prod):
-        return nk.product_counts(_counts(expr.f, order), _counts(expr.g, order))
-    if isinstance(expr, Cartesian):
-        return tuple(map(mul, _counts(expr.f, order), _counts(expr.g, order)))
-    if isinstance(expr, Subst):
-        return nk.compose_counts(_counts(expr.f, order), _counts(expr.g, order))
-    if isinstance(expr, AProd):
-        return nk.aprod_counts(_counts(expr.f, order), _counts(expr.g, order))
-    if isinstance(expr, MAProd):
-        return nk.maprod_counts(_counts(expr.f, order), _counts(expr.g, order))
     if isinstance(expr, Derivative):
         return _counts(expr.f, order + 1)[1:]
-    if isinstance(expr, Point):
-        return tuple(n * c for n, c in enumerate(_counts(expr.f, order)))
-    if isinstance(expr, NonEmpty):
-        return (0,) + _counts(expr.f, order)[1:]
-    if isinstance(expr, Restrict):
-        return _only(expr.n, _counts(expr.f, order))
-    if isinstance(expr, HCT):
-        return nk.hct_counts(_counts(expr.r, order))
-    raise DomainError(f"unknown expression node {expr!r}")
-
-
-def _only(n: int, counts) -> tuple[int, ...]:
-    """The counts kept at size n and zeroed at every other size."""
-    return tuple(c if m == n else 0 for m, c in enumerate(counts))
+    if type(expr) in _MASKS:
+        return _masked(expr, _counts(expr.f, order))
+    return _rule(expr)[0](*(_counts(ch, order) for ch in children(expr)))
 
 
 @lru_cache(maxsize=None)
@@ -394,16 +408,6 @@ def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
     expr = core(expr)
     if expr.fields == expr.int_fields:  # an atom
         return zi.zi_atom(expr.name, bound, *expr.args)
-    if isinstance(expr, Sum):
-        return zi.zi_add(_zi(expr.f, bound, path + (0,)), _zi(expr.g, bound, path + (1,)))
-    if isinstance(expr, Prod):
-        return zi.zi_mul(_zi(expr.f, bound, path + (0,)), _zi(expr.g, bound, path + (1,)))
-    if isinstance(expr, Cartesian):
-        return zi.zi_hadamard(_zi(expr.f, bound, path + (0,)), _zi(expr.g, bound, path + (1,)))
-    if isinstance(expr, Subst):
-        return zi.zi_plethysm(_zi(expr.f, bound, path + (0,)), _zi(expr.g, bound, path + (1,)))
-    if isinstance(expr, AProd):
-        return zi.zi_aprod(_zi(expr.f, bound, path + (0,)), _zi(expr.g, bound, path + (1,)))
     if isinstance(expr, Derivative):
         if bound + 1 > ZI_DERIV_BOUND:
             raise ScaleLimit(
@@ -417,21 +421,16 @@ def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
             for lam, v in inner.fix.items()
             if lam and lam[0]
         })
-    if isinstance(expr, Point):
-        return zi.zi_point(_zi(expr.f, bound, path + (0,)))
-    if isinstance(expr, NonEmpty):
-        inner = _zi(expr.f, bound, path + (0,))
-        return zi.CycleIndex(bound, {lam: v for lam, v in inner.fix.items() if lam})
-    if isinstance(expr, Restrict):
-        inner = _zi(expr.f, bound, path + (0,))
-        return zi.CycleIndex(
-            bound, {lam: v for lam, v in inner.fix.items() if nk.weight(lam) == expr.n}
-        )
-    if isinstance(expr, MAProd):
-        raise UnsupportedForCycleIndex(path, "no cycle index for the modified arithmetic product")
-    if isinstance(expr, HCT):
-        raise UnsupportedForCycleIndex(path, "no cycle index for hyper-cloned trees")
-    raise DomainError(f"unknown expression node {expr!r}")
+    if type(expr) in _MASKS:
+        keep, inner = _MASKS[type(expr)], _zi(expr.f, bound, path + (0,))
+        return zi.CycleIndex(bound, {
+            lam: v for lam, v in inner.fix.items() if keep(expr, nk.weight(lam))
+        })
+    kernel = _rule(expr)[1]
+    if not kernel.startswith("zi_"):
+        raise UnsupportedForCycleIndex(path, f"no cycle index for {kernel}")
+    operands = (_zi(ch, bound, path + (i,)) for i, ch in enumerate(children(expr)))
+    return getattr(zi, kernel)(*operands)
 
 
 def eval_ogf(expr: SpeciesExpr, order: int) -> TruncSeries:
@@ -446,14 +445,6 @@ def type_counts(expr: SpeciesExpr, order: int) -> list[int]:
     return list(_types(expr, order, ()))
 
 
-# The binary nodes whose type series follows from their operands' type series.
-_TYPE_RULES = {
-    Sum: lambda f, g: tuple(map(add, f, g)),
-    Prod: zi.ogf_mul,
-    AProd: nk.dirichlet_convolution,
-}
-
-
 def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
     """Type counts of the node, from its operands' type counts where they suffice.
 
@@ -463,15 +454,13 @@ def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
     node names the same path on both routes.
     """
     expr = core(expr)
-    rule = _TYPE_RULES.get(type(expr))
-    if rule:
-        return rule(_types(expr.f, order, path + (0,)), _types(expr.g, order, path + (1,)))
-    if isinstance(expr, NonEmpty):
-        return (0,) + _types(expr.f, order, path + (0,))[1:]
-    if isinstance(expr, Restrict):
-        return _only(expr.n, _types(expr.f, order, path + (0,)))
+    if type(expr) in _MASKS:
+        return _masked(expr, _types(expr.f, order, path + (0,)))
     if isinstance(expr, Subst):
         return zi.ogf_plethysm(_zi(expr.f, order, path + (0,)), _types(expr.g, order, path + (1,)))
+    rule = _RULES.get(type(expr), (None,) * 3)[2]
+    if rule:
+        return rule(*(_types(ch, order, path + (i,)) for i, ch in enumerate(children(expr))))
     return zi.type_ints(zi.zi_to_ogf(_zi(expr, order, path), order).coeffs)
 
 
@@ -509,6 +498,7 @@ def euler_reconstruct(prime_power_counts, order: int) -> list[int]:
 
     ``prime_power_counts`` maps (p, a) to |M[p^a]|; |M[1]| = 1 is implied.
     """
+    _check_order(order)
     out = [0] * (order + 1)
     if order >= 1:
         out[1] = 1

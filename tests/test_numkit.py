@@ -27,6 +27,8 @@ def test_aprod_power_is_repeated_aprod_counts():
     for k in range(7):
         assert nk.aprod_power(f, k) == power, k
         power = nk.aprod_counts(power, f)
+    with pytest.raises(DomainError, match="negative exponent -1"):
+        nk.aprod_power(f, -1)
 
 
 def test_divisors():

@@ -12,7 +12,7 @@ from specalc import numkit as nk
 from specalc import oracle
 from specalc import species as sp
 from specalc import zindex as zi
-from specalc.errors import DomainMismatch, ScaleLimit, UnsupportedAtom
+from specalc.errors import DomainError, DomainMismatch, ScaleLimit, UnsupportedAtom
 
 
 def test_set_partitions():
@@ -115,6 +115,13 @@ def test_k_rectangles_match_multinomial_census():
                 if p == n:
                     want += nk.multi_rect_coeff(n, shape)
             assert len(oracle.k_rectangles(n, k)) == want, (n, k)
+
+
+def test_rectangle_builders_reject_a_negative_ground_set():
+    for build in (oracle.set_partitions, lambda n: oracle.k_rectangles(n, 2),
+                  lambda n: oracle.k_partial_rectangles(n, 2)):
+        with pytest.raises(DomainError, match="negative ground set size"):
+            build(-1)
 
 
 def test_partial_rectangles():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -96,6 +97,40 @@ def test_eval_zi_unsupported_nodes():
         sp.eval_ogf(sp.HCT(sp.E()), 3)
 
 
+def test_every_node_kind_has_one_evaluator_entry():
+    for cls in sp.SpeciesExpr.__subclasses__():
+        homes = [
+            cls in sp._SUGAR or cls.fields == cls.int_fields,  # core() or the atom tables
+            cls in sp._MASKS,
+            cls is sp.Derivative,
+            cls in sp._RULES,
+        ]
+        assert homes.count(True) == 1, cls
+        if cls.fields == cls.int_fields and cls not in sp._SUGAR:
+            zi.atom_fix(cls.name, (), *(2,) * len(cls.fields))  # UnknownAtom if missing
+    for cls, (count_rule, kernel, type_rule) in sp._RULES.items():
+        assert callable(count_rule) and (type_rule is None or callable(type_rule)), cls
+        if kernel.startswith("zi_"):
+            assert callable(getattr(zi, kernel, None)), (cls, kernel)
+    nouns = {cls for cls, (_, kernel, _) in sp._RULES.items() if not kernel.startswith("zi_")}
+    assert nouns == {sp.MAProd, sp.HCT}
+
+
+def test_cycle_index_kernels_are_looked_up_at_call_time(monkeypatch):
+    expr = sp.AProd(sp.C(), sp.Subst(sp.Eplus(), sp.Lplus()))
+    want = sp.eval_zi(expr, 4)
+    calls = Counter()
+    for name in ("zi_aprod", "zi_plethysm"):
+
+        def counting(*args, name=name, kernel=getattr(zi, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(zi, name, counting)
+    assert sp.eval_zi(expr, 4) == want
+    assert calls == {"zi_aprod": 1, "zi_plethysm": 1}
+
+
 def test_eval_ogf():
     assert [int(c) for c in sp.eval_ogf(sp.AProd(sp.Lplus(), sp.Lplus()), 8).coeffs] == [
         0
@@ -166,6 +201,7 @@ def test_negative_order_is_a_domain_error():
         lambda: sp.eval_zi(sp.E(), -1),
         lambda: sp.eval_ogf(sp.E(), -1),
         lambda: sp.type_counts(sp.E(), -1),
+        lambda: sp.euler_reconstruct({}, -1),
     ):
         with pytest.raises(DomainError, match="order must be nonnegative, got -1"):
             call()
