@@ -15,8 +15,9 @@ raising past them is a ``ScaleLimit`` error, never silent truncation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
+from operator import and_
 from typing import NamedTuple
 
 from . import numkit as nk
@@ -120,43 +121,77 @@ def is_finest(p) -> bool:
 # -- rectangles -------------------------------------------------------------------
 
 def _ordered_factorizations(n, k):
-    if k == 0:
-        return [()] if n == 1 else []
-    out = []
-    for d in nk.divisors(n):
-        for rest in _ordered_factorizations(n // d, k - 1):
-            out.append((d,) + rest)
-    return out
+    """The k-tuples of positive ints with product n, in lexicographic order.
+
+    Each is an ordered factorization of n into factors above 1 (at most
+    log2 n of them) set at k positions among ones, so no step recurses on k.
+    """
+    def proper(m):
+        return [(d,) + r for d in nk.divisors(m)[1:] for r in proper(m // d)] if m > 1 else [()]
+
+    shapes = []
+    for factors in proper(n):
+        for places in combinations(range(k), len(factors)):
+            shape = [1] * k
+            for j, d in zip(places, factors):
+                shape[j] = d
+            shapes.append(tuple(shape))
+    return sorted(shapes)
 
 
 @lru_cache(maxsize=None)
 def _k_rectangles_of(labels, k):
-    """All k-tuples of pairwise-gridding partitions, built from grid fillings.
+    """All k-tuples of pairwise-gridding partitions, one per canonical grid filling.
 
-    The first label is pinned to the zero cell of each grid shape; axis
-    relabelings make that a complete set of representatives, and the seen
-    set removes the leftover symmetry.
+    A canonical filling of a grid shape puts the first label at the zero
+    cell, and the labels increase along each axis line through that cell;
+    every k-rectangle has exactly one, and it is the first of its
+    rectangle's fillings in permutation order.  The cells are filled in
+    row-major order, depth first, with the free labels ascending, so the
+    k-rectangles come shape by shape in that order.  The labels are
+    canonical, so label indices in ascending order give sorted blocks, and
+    blocks in order of their least index give canonical partitions.
     """
     n = len(labels)
     if n == 0:
         return (tuple(() for _ in range(k)),)
-    out, seen = [], set()
+    out = []
     for shape in _ordered_factorizations(n, k):
-        cells = list(product(*(range(d) for d in shape)))
-        rest = labels[1:]
-        for perm in permutations(rest):
-            fill = {cells[0]: labels[0]}
-            fill.update(zip(cells[1:], perm))
-            axes = []
-            for j, d in enumerate(shape):
-                blocks = [[] for _ in range(d)]
-                for cell, lab in fill.items():
-                    blocks[cell[j]].append(lab)
-                axes.append(canon_partition(tuple(tuple(b) for b in blocks)))
-            tup = tuple(axes)
-            if tup not in seen:
-                seen.add(tup)
-                out.append(tup)
+        cells = list(product(*map(range, shape)))
+        stride = [1] * k  # a cell's row-major index moves by stride[j] along axis j
+        for j in range(k - 1, 0, -1):
+            stride[j - 1] = stride[j] * shape[j]
+        # the cell whose label a cell's label must exceed: its predecessor on
+        # an axis line through the zero cell, else the zero cell (no constraint)
+        after = []
+        for c, cell in enumerate(cells):
+            axis = [j for j, x in enumerate(cell) if x]
+            after.append(c - stride[axis[0]] if len(axis) == 1 else 0)
+        fill = [0] * n  # the label index at each cell
+        free = [True] * n
+        free[0] = False
+
+        def grow(c):
+            if c == n:
+                at = [None] * n
+                for cell, i in zip(cells, fill):
+                    at[i] = cell
+                axes = []
+                for j in range(k):
+                    blocks = {}
+                    for u, cell in zip(labels, at):
+                        blocks.setdefault(cell[j], []).append(u)
+                    axes.append(tuple(map(tuple, blocks.values())))
+                out.append(tuple(axes))
+                return
+            for i in range(fill[after[c]] + 1, n):
+                if free[i]:
+                    free[i] = False
+                    fill[c] = i
+                    grow(c + 1)
+                    free[i] = True
+
+        grow(1)
     return tuple(out)
 
 
@@ -174,26 +209,37 @@ def k_rectangles(n: int, k: int):
         raise DomainError("dimension k must be >= 1")
     if n < 0:
         raise DomainError("negative ground set size")
+    # the k-rectangles are the structures of the k-th arithmetic power of E+
+    count = nk.aprod_power((0,) + (1,) * n, k)[n] if n else 1
+    if count * k > ENUM_STRUCTURES:
+        raise ScaleLimit(
+            f"k_rectangles({n}, {k}) would build {count * k} partitions, "
+            f"past the oracle budget {ENUM_STRUCTURES}"
+        )
     return list(_k_rectangles_of(tuple(range(1, n + 1)), k))
 
 
 def _k_partial_rectangles_of(labels, k):
     """The k-tuples of partitions of the canonical labels whose meet is the finest.
 
-    The meet is the finest partition exactly when no two labels share a
-    block in every partition, that is when each label's tuple of block
-    indices is distinct; no meet is formed.  Tuples come in
-    ``product(parts, repeat=k)`` order.
+    Each partition is an int bit set of the label pairs it joins into one
+    block; the meet of a tuple joins the pairs every partition joins, so it
+    is the finest exactly when the AND of the bit sets is 0.  No meet is
+    formed.  Tuples come in ``product(parts, repeat=k)`` order.
     """
     parts = partitions_of(labels)
-    codes = []  # the block index of each label, in label order, per partition
+    index = {u: i for i, u in enumerate(labels)}
+    joins = []
     for p in parts:
-        block_of = {u: j for j, b in enumerate(p) for u in b}
-        codes.append(tuple(block_of[u] for u in labels))
+        bits = 0
+        for b in p:
+            for u, v in combinations(b, 2):
+                bits |= 1 << (index[u] * len(labels) + index[v])
+        joins.append(bits)
     return [
-        tuple(parts[i] for i in tup)
-        for tup in product(range(len(parts)), repeat=k)
-        if len(set(zip(*(codes[i] for i in tup)))) == len(labels)
+        tup
+        for tup, bits in zip(product(parts, repeat=k), product(joins, repeat=k))
+        if not reduce(and_, bits)
     ]
 
 
@@ -301,17 +347,18 @@ def _enum(expr, labels):
             inner_lists = [_enum(expr.g, b) for b in part]
             if any(not lst for lst in inner_lists):
                 continue
-            for souter in _enum(expr.f, canon_labels(part)):
+            for souter in _enum(expr.f, part):
                 for inners in product(*inner_lists):
                     out.append(("subst", part, souter, inners))
         return tuple(out)
     if isinstance(expr, (sp.AProd, sp.MAProd)):
+        # a partition's blocks are canonical labels one level up, as they come
         rects = rectangles_of if isinstance(expr, sp.AProd) else partial_rectangles_of
         return tuple(
             (expr.name, rect.pi, rect.tau, m, t)
             for rect in rects(labels)
-            for m in _enum(expr.f, canon_labels(rect.pi))
-            for t in _enum(expr.g, canon_labels(rect.tau))
+            for m in _enum(expr.f, rect.pi)
+            for t in _enum(expr.g, rect.tau)
         )
     if isinstance(expr, sp.Derivative):
         star = _fresh_star(labels)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -117,6 +118,64 @@ def test_k_rectangles_match_multinomial_census():
             assert len(oracle.k_rectangles(n, k)) == want, (n, k)
 
 
+def _fill_and_dedupe_rectangles(labels, k):
+    """The reference: every filling of every shape, first of each rectangle kept.
+
+    The first label is pinned to the zero cell of each grid shape (shapes in
+    lexicographic order), the free labels run through every permutation,
+    both canonical partitions of each filling are formed, and a seen set
+    drops the repeats.
+    """
+    n = len(labels)
+    if n == 0:
+        return (tuple(() for _ in range(k)),)
+    out, seen = [], set()
+    for shape in itertools.product(nk.divisors(n), repeat=k):
+        if math.prod(shape) != n:
+            continue
+        cells = list(itertools.product(*(range(d) for d in shape)))
+        for perm in itertools.permutations(labels[1:]):
+            fill = {cells[0]: labels[0]}
+            fill.update(zip(cells[1:], perm))
+            axes = []
+            for j, d in enumerate(shape):
+                blocks = [[] for _ in range(d)]
+                for cell, lab in fill.items():
+                    blocks[cell[j]].append(lab)
+                axes.append(oracle.canon_partition(tuple(tuple(b) for b in blocks)))
+            tup = tuple(axes)
+            if tup not in seen:
+                seen.add(tup)
+                out.append(tup)
+    return tuple(out)
+
+
+def test_rectangles_match_the_fill_and_dedupe_reference_in_order():
+    for k in (1, 2, 3):
+        for n in range(8):
+            labels = tuple(range(1, n + 1))
+            got = oracle._k_rectangles_of(labels, k)
+            assert got == _fill_and_dedupe_rectangles(labels, k), (k, n)
+            for tup in got:
+                for axis in tup:
+                    assert axis == oracle.canon_partition(axis)
+    # labels as _enum meets them: a derivative star, blocks one level up
+    for labels in ((1, 2, 3, "*"), ((1,), (2, 3), (4,), (5, 6)), ("*", 4, (1, 2), 3)):
+        want = _fill_and_dedupe_rectangles(oracle.canon_labels(labels), 2)
+        got = oracle.rectangles_of(labels)
+        assert got == [oracle.Rect(p, t) for p, t in want], labels
+        for rect in got:
+            assert rect.pi == oracle.canon_partition(rect.pi)
+            assert rect.tau == oracle.canon_partition(rect.tau)
+
+
+def test_k_rectangles_at_a_deep_k_return_or_hit_the_budget():
+    assert oracle.k_rectangles(1, 5000) == [(((1,),),) * 5000]
+    for n, k in ((0, 10 ** 9), (2, 5000), (8, 5000), (8, 7)):
+        with pytest.raises(ScaleLimit, match="past the oracle budget"):
+            oracle.k_rectangles(n, k)
+
+
 def test_rectangle_builders_reject_a_negative_ground_set():
     for build in (oracle.set_partitions, lambda n: oracle.k_rectangles(n, 2),
                   lambda n: oracle.k_partial_rectangles(n, 2)):
@@ -134,9 +193,9 @@ def test_partial_rectangles():
 
 
 def test_partial_rectangle_kernel_matches_the_meet_filter():
-    # the kernel tests block-index tuples; the reference forms every meet
+    # the kernel ANDs join bit sets; the reference forms every meet
     for k in (1, 2, 3):
-        for n in range(6):
+        for n in range(7 if k == 2 else 6):
             labels = tuple(range(1, n + 1))
             want = []
             for tup in itertools.product(oracle.partitions_of(labels), repeat=k):
@@ -149,6 +208,13 @@ def test_partial_rectangle_kernel_matches_the_meet_filter():
     assert oracle.partial_rectangles_of(range(1, 5)) == [
         oracle.Rect(*t) for t in oracle._k_partial_rectangles_of((1, 2, 3, 4), 2)
     ]
+
+
+def test_partial_rectangles_at_a_deep_k_take_linear_time():
+    # a kernel that grows prefix tuples level by level is quadratic in k
+    start = time.perf_counter()
+    assert oracle.k_partial_rectangles(1, 3_000_000) == [(((1,),),) * 3_000_000]
+    assert time.perf_counter() - start < 5.0
 
 
 def test_enumerate_basics():
