@@ -203,6 +203,8 @@ def mult_to_parts(lam) -> tuple[int, ...]:
     """Descending part list of a multiplicity tuple."""
     parts = []
     for i in range(len(lam), 0, -1):
+        if lam[i - 1] < 0:
+            raise DomainError(f"multiplicity {lam[i - 1]} of part {i} must be nonnegative")
         parts.extend([i] * lam[i - 1])
     return tuple(parts)
 

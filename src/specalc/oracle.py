@@ -2,7 +2,10 @@
 
 Structures are canonical nested tuples with a total order, so lists of
 structures are duplicate-free and deterministic, Fix counts are honest
-counts of equalities, and oracle dumps reproduce byte for byte.
+counts of equalities, and oracle dumps reproduce byte for byte.  Each
+structure leads with a tag naming its kind (``set``, ``cycle``, ``aprod``,
+...); a masked operand's or a sugar atom's structures are its core
+operand's.  Transport reads those tags alone, never the expression.
 
 Labels may be ints, strings, or tuples of labels (blocks of a partition
 act as labels one level up); ``_key`` gives them a single total order.
@@ -80,7 +83,10 @@ class Rect(NamedTuple):
 
 @lru_cache(maxsize=None)
 def partitions_of(labels) -> tuple:
-    """All set partitions of a canonical label tuple, deterministic order."""
+    """All set partitions of a canonical label tuple, deterministic order.
+
+    Each is canonical as built: the block that takes the least label leads.
+    """
     if len(labels) > SET_PARTITION_LIMIT:
         raise ScaleLimit(f"partitions of {len(labels)} labels exceeds limit {SET_PARTITION_LIMIT}")
     if not labels:
@@ -88,10 +94,9 @@ def partitions_of(labels) -> tuple:
     first, rest = labels[0], labels[1:]
     out = []
     for part in partitions_of(rest):
-        out.append(canon_partition(((first,),) + part))
+        out.append(((first,),) + part)
         for i in range(len(part)):
-            grown = part[:i] + (canon_labels(part[i] + (first,)),) + part[i + 1 :]
-            out.append(canon_partition(grown))
+            out.append(((first,) + part[i],) + part[:i] + part[i + 1 :])
     return tuple(out)
 
 
@@ -310,18 +315,15 @@ def _enum(expr, labels):
             ("inj", tuple(zip(labels, img)))
             for img in permutations(range(1, expr.n + 1), n)
         )
-    if isinstance(expr, (sp.Necklace, sp.AperiodicNecklace)):
-        if n == 0:
-            return ()
-        out = []
+    if necklace:
+        # a cycle of C, coloured; an aperiodic colouring is fixed by no proper rotation
         aperiodic_only = isinstance(expr, sp.AperiodicNecklace)
-        for p in permutations(labels[1:]):
-            cyc = (labels[0],) + p
-            for colors in product(range(expr.alpha), repeat=n):
-                if aperiodic_only and _necklace_period(colors) != n:
-                    continue
-                out.append(("necklace", cyc, colors))
-        return tuple(out)
+        return tuple(
+            ("necklace", cyc, colors)
+            for _, cyc in _enum(sp.C(), labels)
+            for colors in product(range(expr.alpha), repeat=n)
+            if not aperiodic_only or _necklace_period(colors) == n
+        )
     if isinstance(expr, sp.Sum):
         return tuple(("inl", s) for s in _enum(expr.f, labels)) + tuple(
             ("inr", s) for s in _enum(expr.g, labels)
@@ -369,10 +371,8 @@ def _enum(expr, labels):
         return tuple(
             ("point", u, s) for u in labels for s in _enum(expr.f, labels)
         )
-    if isinstance(expr, sp.NonEmpty):
-        return _enum(expr.f, labels) if n else ()
-    if isinstance(expr, sp.Restrict):
-        return _enum(expr.f, labels) if n == expr.n else ()
+    if type(expr) in sp._MASKS:
+        return _enum(expr.f, labels) if sp._MASKS[type(expr)](expr, n) else ()
     if isinstance(expr, sp.HCT):
         # root pinned to the least label: structures then follow the divisor
         # recursion exactly (a freely chosen root would multiply counts by n)
@@ -397,11 +397,15 @@ def _necklace_period(colors):
 # -- transport ------------------------------------------------------------------------
 
 def transport(expr, structure, bij):
-    """Relabel a structure along a bijection, per the transport rules."""
+    """Relabel a structure of the expression along a bijection.
+
+    The structure's tags drive the move: each node of it leads with a tag
+    naming its kind, so the expression itself is not read.
+    """
     values = list(bij.values())
     if len(set(values)) != len(values):
         raise DomainMismatch("mapping is not injective")
-    return _transport(expr, structure, dict(bij))
+    return _transport(structure, dict(bij))
 
 
 def _apply(bij, u):
@@ -419,87 +423,54 @@ def _block_bijection(bij, part):
     return {b: _map_block(bij, b) for b in part}
 
 
-def _transport(expr, s, bij):
-    expr = sp.core(expr)
-    if isinstance(expr, sp.One):
+def _transport(s, bij):
+    """Move a structure along a bijection; its leading tag names its kind."""
+    tag = s[0]
+    if tag == "one":
         return s
-    if isinstance(expr, sp.X):
+    if tag == "x":
         return ("x", _apply(bij, s[1]))
-    if isinstance(expr, sp.E):
+    if tag == "set":
         return ("set", _map_block(bij, s[1]))
-    if isinstance(expr, sp.L):
+    if tag == "list":
         return ("list", tuple(_apply(bij, u) for u in s[1]))
-    if isinstance(expr, sp.C):
-        return ("cycle", _canon_cycle(tuple(_apply(bij, u) for u in s[1])))
-    if isinstance(expr, sp.S):
-        pairs = tuple((_apply(bij, a), _apply(bij, b)) for a, b in s[1])
-        return ("perm", tuple(sorted(pairs, key=lambda ab: _key(ab[0]))))
-    if isinstance(expr, sp.OnePlusXPow):
-        pairs = tuple((_apply(bij, a), v) for a, v in s[1])
-        return ("inj", tuple(sorted(pairs, key=lambda av: _key(av[0]))))
-    if isinstance(expr, (sp.Necklace, sp.AperiodicNecklace)):
+    if tag in ("cycle", "necklace"):
+        # the cycle turns to start at its least label, and its colours with it
         cyc = tuple(_apply(bij, u) for u in s[1])
         rot = min(range(len(cyc)), key=lambda i: _key(cyc[i]))
-        return (
-            "necklace",
-            cyc[rot:] + cyc[:rot],
-            s[2][rot:] + s[2][:rot],
-        )
-    if isinstance(expr, sp.Sum):
-        tag, inner = s
-        return (tag, _transport(expr.f if tag == "inl" else expr.g, inner, bij))
-    if isinstance(expr, sp.Prod):
-        _, left, s1, right, s2 = s
-        return (
-            "prod",
-            _map_block(bij, left),
-            _transport(expr.f, s1, bij),
-            _map_block(bij, right),
-            _transport(expr.g, s2, bij),
-        )
-    if isinstance(expr, sp.Cartesian):
-        return ("cart", _transport(expr.f, s[1], bij), _transport(expr.g, s[2], bij))
-    if isinstance(expr, sp.Subst):
-        _, part, souter, inners = s
-        bb = _block_bijection(bij, part)
-        new_part = canon_partition(tuple(bb.values()))
-        new_outer = _transport(expr.f, souter, bb)
-        moved = sorted(
-            ((bb[b], _transport(expr.g, inner, bij)) for b, inner in zip(part, inners)),
-            key=lambda bi: _key(bi[0]),
-        )
-        return ("subst", new_part, new_outer, tuple(i for _, i in moved))
-    if isinstance(expr, (sp.AProd, sp.MAProd)):
-        tag, pi, tau, m, t = s
-        bpi = _block_bijection(bij, pi)
-        btau = _block_bijection(bij, tau)
-        return (
-            tag,
-            canon_partition(tuple(bpi.values())),
-            canon_partition(tuple(btau.values())),
-            _transport(expr.f, m, bpi),
-            _transport(expr.g, t, btau),
-        )
-    if isinstance(expr, sp.Derivative):
-        inner_bij = dict(bij)
-        inner_bij[_fresh_star(bij.keys())] = _fresh_star(bij.values())
-        return ("deriv", _transport(expr.f, s[1], inner_bij))
-    if isinstance(expr, sp.Point):
-        return ("point", _apply(bij, s[1]), _transport(expr.f, s[2], bij))
-    if isinstance(expr, (sp.NonEmpty, sp.Restrict)):
-        return _transport(expr.f, s, bij)
-    if isinstance(expr, sp.HCT):
+        return (tag,) + tuple(c[rot:] + c[:rot] for c in (cyc,) + s[2:])
+    if tag in ("perm", "inj"):
+        # a permutation's images are labels; an injection's are letters 1..n
+        pairs = ((_apply(bij, a), _apply(bij, b) if tag == "perm" else b) for a, b in s[1])
+        return (tag, tuple(sorted(pairs, key=lambda ab: _key(ab[0]))))
+    if tag in ("inl", "inr", "deriv"):
+        if tag == "deriv":  # the star the derivative adjoins goes to a fresh star
+            bij = {**bij, _fresh_star(bij.keys()): _fresh_star(bij.values())}
+        return (tag, _transport(s[1], bij))
+    if tag == "point":
+        return ("point", _apply(bij, s[1]), _transport(s[2], bij))
+    if tag == "hct":
         _, root, sub = s
-        if sub is None:
-            return ("hct", _apply(bij, root), None)
-        inner = sp.AProd(sp.NonEmpty(expr.r), expr)
-        return ("hct", _apply(bij, root), _transport(inner, sub, bij))
-    raise UnsupportedAtom(f"oracle cannot transport {type(expr).__name__}")
-
-
-def _canon_cycle(cyc):
-    rot = min(range(len(cyc)), key=lambda i: _key(cyc[i]))
-    return cyc[rot:] + cyc[:rot]
+        return ("hct", _apply(bij, root), None if sub is None else _transport(sub, bij))
+    if tag == "prod":
+        _, left, s1, right, s2 = s
+        left, right = _map_block(bij, left), _map_block(bij, right)
+        return ("prod", left, _transport(s1, bij), right, _transport(s2, bij))
+    if tag == "cart":
+        return ("cart", _transport(s[1], bij), _transport(s[2], bij))
+    if tag == "subst":
+        # the inner structures follow their blocks into the new block order
+        _, part, outer, inners = s
+        bb = _block_bijection(bij, part)
+        moved = sorted(zip(bb.values(), inners), key=lambda bi: _key(bi[0]))
+        inners = tuple(_transport(i, bij) for _, i in moved)
+        return ("subst", tuple(b for b, _ in moved), _transport(outer, bb), inners)
+    if tag in ("aprod", "maprod"):
+        _, pi, tau, m, t = s
+        bpi, btau = _block_bijection(bij, pi), _block_bijection(bij, tau)
+        pi, tau = canon_partition(bpi.values()), canon_partition(btau.values())
+        return (tag, pi, tau, _transport(m, bpi), _transport(t, btau))
+    raise UnsupportedAtom(f"oracle cannot transport a {tag!r} structure")
 
 
 # -- fix counts and Burnside ------------------------------------------------------------
@@ -512,7 +483,7 @@ def fix_count(expr, sigma) -> int:
         raise DomainMismatch("sigma is not a permutation of its domain")
     if len(labels) > ENUM_LIMIT:
         raise ScaleLimit(f"fix count on {len(labels)} labels exceeds limit {ENUM_LIMIT}")
-    return sum(1 for s in _enum(expr, labels) if _transport(expr, s, sigma) == s)
+    return sum(1 for s in _enum(expr, labels) if _transport(s, sigma) == s)
 
 
 def perm_of_type(lam) -> dict:

@@ -21,9 +21,10 @@ A new node kind is one ``SpeciesExpr`` subclass here, one ``_RULES`` row
 (its count rule, its ``zindex`` cycle-index kernel or the noun of the
 error where it has none, and its type rule where its operands' type series
 suffice; otherwise ``_types`` specialises its cycle index) and one branch
-in each of ``oracle._enum`` and ``oracle._transport``; a node that keeps
-its operand at some sizes only is one ``_MASKS`` predicate instead of a
-row.  A new atom (a node with no expression argument) needs no row, only
+of ``oracle._enum``; it needs a branch of ``oracle._transport``, which
+reads the structure's tags and not the expression, only when its
+structures lead with a new tag.  A node that keeps its operand at some
+sizes only is one ``_MASKS`` predicate instead of a row.  A new atom (a node with no expression argument) needs no row, only
 one ``zindex`` fix-value entry under its source name (and a place among
 the atoms ``zi_atom`` walks at every cycle type if it fixes structures off
 the equal-part types).  An operand that must have no structures on the

@@ -137,6 +137,14 @@ def test_mult_part_roundtrip():
             assert nk.parts_to_mult(nk.mult_to_parts(lam)) == lam
 
 
+def test_mult_to_parts_rejects_a_negative_multiplicity():
+    # as parts_to_mult rejects a non-positive part: no tuple here is a cycle type
+    for lam in ((0, -1, 1), (-2,), (1, -1)):
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            nk.mult_to_parts(lam)
+    assert nk.mult_to_parts((2, 0, 1)) == (3, 1, 1)
+
+
 def test_aut():
     assert nk.aut((4,)) == 24       # 1^4
     assert nk.aut((0, 2)) == 8      # 2^2

@@ -77,6 +77,32 @@ def test_structure_budget_is_checked_per_node_and_inclusive(monkeypatch):
         oracle._enum.cache_clear()
 
 
+def _canon_partitions_of(labels):
+    """The reference: each partition grown from those of the rest, then made canonical."""
+    if not labels:
+        return ((),)
+    first, rest = labels[0], labels[1:]
+    out = []
+    for part in _canon_partitions_of(rest):
+        out.append(oracle.canon_partition(((first,),) + part))
+        for i in range(len(part)):
+            grown = part[:i] + (oracle.canon_labels(part[i] + (first,)),) + part[i + 1 :]
+            out.append(oracle.canon_partition(grown))
+    return tuple(out)
+
+
+def test_partitions_of_match_the_canonicalising_reference_in_order():
+    for n in range(8):
+        labels = tuple(range(1, n + 1))
+        assert oracle.partitions_of(labels) == _canon_partitions_of(labels), n
+    # labels as _enum meets them: derivative stars, blocks one level up
+    for labels in ((1, 2, "*", "**"), ("*", 4, (1, 2), 3), ((3,), (1, 2), "*")):
+        labels = oracle.canon_labels(labels)
+        got = oracle.partitions_of(labels)
+        assert got == _canon_partitions_of(labels), labels
+        assert all(p == oracle.canon_partition(p) for p in got)
+
+
 def test_partition_axioms():
     for part in oracle.set_partitions(5):
         labels = [u for b in part for u in b]
@@ -319,6 +345,137 @@ def test_transport_identity_and_composition():
     assert cases >= 100
 
 
+def _reference_transport(expr, s, bij):
+    """The reference: the structure moved by walking its expression alongside it."""
+    expr = sp.core(expr)
+    if isinstance(expr, sp.One):
+        return s
+    if isinstance(expr, sp.X):
+        return ("x", oracle._apply(bij, s[1]))
+    if isinstance(expr, sp.E):
+        return ("set", oracle._map_block(bij, s[1]))
+    if isinstance(expr, sp.L):
+        return ("list", tuple(oracle._apply(bij, u) for u in s[1]))
+    if isinstance(expr, sp.C):
+        cyc = tuple(oracle._apply(bij, u) for u in s[1])
+        rot = min(range(len(cyc)), key=lambda i: oracle._key(cyc[i]))
+        return ("cycle", cyc[rot:] + cyc[:rot])
+    if isinstance(expr, sp.S):
+        pairs = tuple((oracle._apply(bij, a), oracle._apply(bij, b)) for a, b in s[1])
+        return ("perm", tuple(sorted(pairs, key=lambda ab: oracle._key(ab[0]))))
+    if isinstance(expr, sp.OnePlusXPow):
+        pairs = tuple((oracle._apply(bij, a), v) for a, v in s[1])
+        return ("inj", tuple(sorted(pairs, key=lambda av: oracle._key(av[0]))))
+    if isinstance(expr, (sp.Necklace, sp.AperiodicNecklace)):
+        cyc = tuple(oracle._apply(bij, u) for u in s[1])
+        rot = min(range(len(cyc)), key=lambda i: oracle._key(cyc[i]))
+        return ("necklace", cyc[rot:] + cyc[:rot], s[2][rot:] + s[2][:rot])
+    if isinstance(expr, sp.Sum):
+        tag, inner = s
+        return (tag, _reference_transport(expr.f if tag == "inl" else expr.g, inner, bij))
+    if isinstance(expr, sp.Prod):
+        _, left, s1, right, s2 = s
+        return (
+            "prod",
+            oracle._map_block(bij, left),
+            _reference_transport(expr.f, s1, bij),
+            oracle._map_block(bij, right),
+            _reference_transport(expr.g, s2, bij),
+        )
+    if isinstance(expr, sp.Cartesian):
+        return (
+            "cart",
+            _reference_transport(expr.f, s[1], bij),
+            _reference_transport(expr.g, s[2], bij),
+        )
+    if isinstance(expr, sp.Subst):
+        _, part, souter, inners = s
+        bb = oracle._block_bijection(bij, part)
+        new_part = oracle.canon_partition(tuple(bb.values()))
+        new_outer = _reference_transport(expr.f, souter, bb)
+        moved = sorted(
+            ((bb[b], _reference_transport(expr.g, i, bij)) for b, i in zip(part, inners)),
+            key=lambda bi: oracle._key(bi[0]),
+        )
+        return ("subst", new_part, new_outer, tuple(i for _, i in moved))
+    if isinstance(expr, (sp.AProd, sp.MAProd)):
+        tag, pi, tau, m, t = s
+        bpi = oracle._block_bijection(bij, pi)
+        btau = oracle._block_bijection(bij, tau)
+        return (
+            tag,
+            oracle.canon_partition(tuple(bpi.values())),
+            oracle.canon_partition(tuple(btau.values())),
+            _reference_transport(expr.f, m, bpi),
+            _reference_transport(expr.g, t, btau),
+        )
+    if isinstance(expr, sp.Derivative):
+        inner_bij = dict(bij)
+        inner_bij[oracle._fresh_star(bij.keys())] = oracle._fresh_star(bij.values())
+        return ("deriv", _reference_transport(expr.f, s[1], inner_bij))
+    if isinstance(expr, sp.Point):
+        return ("point", oracle._apply(bij, s[1]), _reference_transport(expr.f, s[2], bij))
+    if isinstance(expr, (sp.NonEmpty, sp.Restrict)):
+        return _reference_transport(expr.f, s, bij)
+    if isinstance(expr, sp.HCT):
+        _, root, sub = s
+        if sub is None:
+            return ("hct", oracle._apply(bij, root), None)
+        inner = sp.AProd(sp.NonEmpty(expr.r), expr)
+        return ("hct", oracle._apply(bij, root), _reference_transport(inner, sub, bij))
+    raise UnsupportedAtom(f"oracle cannot transport {type(expr).__name__}")
+
+
+# Every node class, sugar atoms included, with derivative stars nested inside
+# blocks, substitutions and both arithmetic products.
+TRANSPORT_CORPUS = CORPUS + [
+    sp.Sum(sp.One(), sp.Derivative(sp.Prod(sp.X(), sp.Ek(2)))),
+    sp.Subst(sp.Necklace(2), sp.Restrict(sp.C(), 2)),
+    sp.Subst(sp.Derivative(sp.L()), sp.Point(sp.Lplus())),
+    sp.MAProd(sp.Derivative(sp.C()), sp.Point(sp.E())),
+    sp.AProd(sp.Splus(), sp.Subst(sp.Eplus(), sp.XPow(1))),
+    sp.Cartesian(sp.Derivative(sp.Derivative(sp.E())), sp.AperiodicNecklace(3)),
+    sp.HCT(sp.Sum(sp.X(), sp.C())),
+]
+
+TRANSPORT_TAGS = {
+    "one", "x", "set", "list", "cycle", "perm", "inj", "necklace", "inl", "inr",
+    "prod", "cart", "subst", "aprod", "maprod", "deriv", "point", "hct",
+}
+
+
+def test_transport_by_tags_matches_the_expression_walk(monkeypatch):
+    kinds = {type(node) for expr in TRANSPORT_CORPUS for node in _walk(expr)}
+    assert kinds == set(sp.SpeciesExpr.__subclasses__()) and len(kinds) == 25
+    tags = set()
+    tagged = oracle._transport
+
+    def spy(s, bij):
+        tags.add(s[0])
+        return tagged(s, bij)
+
+    monkeypatch.setattr(oracle, "_transport", spy)
+    rng = random.Random(19)
+    cases = 0
+    for expr in TRANSPORT_CORPUS:
+        for n in range(5):
+            labels = tuple(range(1, n + 1))
+            fresh = {u: u + 10 for u in labels}
+            for s in oracle.enumerate_structures(expr, labels):
+                shuffled = list(labels)
+                rng.shuffle(shuffled)
+                for bij in (dict(zip(labels, shuffled)), fresh):
+                    assert oracle.transport(expr, s, bij) == _reference_transport(expr, s, bij), (
+                        expr, s, bij,
+                    )
+                    cases += 1
+    assert cases >= 10_000
+    # every tag _enum writes has its own branch, and an unknown one is named
+    assert tags == TRANSPORT_TAGS
+    with pytest.raises(UnsupportedAtom, match="cannot transport a 'nope' structure"):
+        tagged(("nope",), {})
+
+
 def test_transport_relabels_both_sides_of_arithmetic_product():
     expr = sp.AProd(sp.Eplus(), sp.Eplus())
     labels = (1, 2, 3, 4)
@@ -351,6 +508,13 @@ def test_fix_count_identity_is_total_count():
 def test_fix_by_type_examples():
     assert oracle.fix_by_type(sp.AProd(sp.Eplus(), sp.Eplus()), (4,)) == 8
     assert oracle.fix_by_type(sp.Splus(), (0, 1)) == 2
+
+
+def test_fix_by_type_rejects_a_negative_multiplicity():
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        oracle.perm_of_type((0, -1, 1))
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        oracle.fix_by_type(sp.E(), (-1,))
 
 
 def test_fix_counts_conjugation_invariant():
