@@ -211,7 +211,7 @@ def mult_to_parts(lam) -> tuple[int, ...]:
 
 def weight(lam) -> int:
     """Sum of the parts."""
-    return sum((i + 1) * m for i, m in enumerate(lam))
+    return sum(map(mul, lam, range(1, len(lam) + 1)))
 
 
 def num_parts(lam) -> int:

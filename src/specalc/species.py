@@ -12,15 +12,15 @@ operation, ``hct`` included; an atom's counts are its fix-values
 cycle index is built from.  ``eval_counts`` asserts that every count is
 nonnegative.  The ``Fraction`` kernels of ``series`` are the independent
 route the tests compare them against.  Type counts (``type_counts``) are
-``int`` tuples too, from ``_types``, where the arithmetic product is the
-Dirichlet convolution of its operands' type series; ``eval_ogf``, which
-specialises the whole cycle index (``zi_aprod`` for ``aprod``), is their
-independent route.
+``int`` tuples too, from ``_types``: an atom's are the Burnside sums of its
+fix-values in that table (``zindex.type_series``, no index built), and the
+arithmetic product is the Dirichlet convolution of its operands' type series;
+``eval_ogf``, which specialises the whole cycle index, is their independent route.
 
 A new node kind is one ``SpeciesExpr`` subclass here, one ``_RULES`` row
 (its count rule, its ``zindex`` cycle-index kernel or the noun of the
 error where it has none, and its type rule where its operands' type series
-suffice; otherwise ``_types`` specialises its cycle index) and one branch
+suffice; otherwise ``_types`` takes the Burnside sum of its cycle index) and one branch
 of ``oracle._enum``; it needs a branch of ``oracle._transport``, which
 reads the structure's tags and not the expression, only when its
 structures lead with a new tag.  A node that keeps its operand at some
@@ -455,6 +455,8 @@ def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
     node names the same path on both routes.
     """
     expr = core(expr)
+    if expr.fields == expr.int_fields:  # an atom: the Burnside sum of its fix-values
+        return zi.type_series(zi.atom_fixes(expr.name, order, *expr.args), order)
     if type(expr) in _MASKS:
         return _masked(expr, _types(expr.f, order, path + (0,)))
     if isinstance(expr, Subst):
@@ -462,7 +464,7 @@ def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
     rule = _RULES.get(type(expr), (None,) * 3)[2]
     if rule:
         return rule(*(_types(ch, order, path + (i,)) for i, ch in enumerate(children(expr))))
-    return zi.type_ints(zi.zi_to_ogf(_zi(expr, order, path), order).coeffs)
+    return zi.type_series(_zi(expr, order, path).fix, order)
 
 
 # -- hyper-cloned rooted trees ---------------------------------------------------

@@ -6,13 +6,18 @@ exact fix-values; the polynomial it denotes is
     sum over lam of  fix[lam] * x^lam / aut(lam).
 
 Keys of weight above the bound are rejected and zero values are never
-stored, so for an actual species every stored value is a positive
-integer.  The sum, the Hadamard product and pointing act directly on
-fix-values; the product, plethysm and arithmetic product convert to
-monomial coefficients (fix/aut) internally and convert back at the end.
-A two-operand kernel works at the smaller of its operands' bounds and
-reads each operand's terms there through ``_terms``, which returns a
-new dict of the terms of weight at most that bound.
+stored; an integral value is stored as an ``int``, any other as a
+``Fraction``.  The sum, the Hadamard product and pointing act directly on
+fix-values.  The product, plethysm and arithmetic product work on the
+integers N(lam) = fix[lam] |lam|!/aut(lam), the pairs (permutation of type
+lam, structure it fixes) (Bergeron, Labelle and Leroux, Combinatorial
+Species and Tree-like Structures): a product adds C(|m|+|n|, |m|) N(m) N(n)
+at m + n, an arithmetic product (|b||g|)!/(|b|! |g|!) N(b) N(g) at b box g,
+and x_i -> x_(ki) takes N(m) to (k|m|)!/|m|! N(m) at k m; plethysm sums
+over the common denominator bound!.  Each kernel returns to fix-values
+with one exact division, fix = N aut(lam)/|lam|!, and works at the
+smaller of its operands' bounds.  ``type_series`` is the Burnside sum:
+the N of the types of weight n added up and divided by n!.
 
 The kernels grade their operands by weight, computing each term's weight
 once, and walk the weight buckets in ascending order: the product stops
@@ -20,12 +25,11 @@ at the first pair of buckets with wa + wb above the bound, the
 arithmetic product at the first with wb * wg above it, so no pair of
 terms that cannot survive the truncation is formed.  Plethysm builds the
 substituted power-sum product p_lam[q] of each partition from that of
-lam with one largest part removed (Bergeron, Labelle and Leroux,
-Combinatorial Species and Tree-like Structures, section 4.3), so each
-distinct partition costs one truncated product.  ``ogf_plethysm`` walks
-the same partitions on integer type series: it substitutes g(x^i) for
-x_i and never forms the multivariate result.  Both take their products
-from one memoised walk, ``_power_walk``.
+lam with one largest part removed (ibid., section 4.3), so each distinct
+partition costs one truncated product, within ``ZI_PLETHYSM_PAIRS``.
+``ogf_plethysm`` walks the same partitions on integer type series: it
+substitutes g(x^i) for x_i and never forms the multivariate result.
+Both take their products from one memoised walk, ``_power_walk``.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import numkit as nk
-from .errors import CompositionError, DomainError, UnknownAtom, ZeroConstantRequired
+from .errors import CompositionError, DomainError, ScaleLimit, UnknownAtom, ZeroConstantRequired
 from .series import TruncSeries
 
-_ZERO = Fraction(0)
+# Most term pairs |a| |b|, summed over its products a * b, one ``zi_plethysm`` may
+# form; nested ``deriv`` raise its bound (comp(E, Ep): 2.0e7 at 18, 3.5e7 at 19).
+ZI_PLETHYSM_PAIRS = 25 * 10 ** 6
 
 
 class CycleIndex:
@@ -56,27 +62,23 @@ class CycleIndex:
                 raise DomainError(f"partition key {lam} has negative multiplicity")
             if nk.weight(lam) > bound:
                 raise DomainError(f"key {lam} exceeds weight bound {bound}")
-            v = Fraction(v)
+            if type(v) is not int and (v := Fraction(v)).denominator == 1:
+                v = v.numerator
             if v:
                 store[lam] = v
         self.fix = store
 
     def fix_value(self, lam):
-        return self.fix.get(tuple(lam), _ZERO)
+        return self.fix.get(tuple(lam), 0)
 
     def coeff(self, lam):
-        """Monomial coefficient fix[lam]/aut(lam)."""
-        lam = tuple(lam)
-        return self.fix.get(lam, _ZERO) / nk.aut(lam)
+        """Monomial coefficient fix[lam]/aut(lam), a ``Fraction``."""
+        return Fraction(self.fix_value(lam), nk.aut(lam))
 
     def rows(self):
         """(partition, fix, monomial coefficient) triples in canonical order."""
-        out = []
-        for w in range(self.bound + 1):
-            for lam in nk.int_partitions(w):
-                if lam in self.fix:
-                    out.append((lam, self.fix[lam], self.fix[lam] / nk.aut(lam)))
-        return out
+        return [(lam, self.fix[lam], self.coeff(lam))
+                for w in range(self.bound + 1) for lam in nk.int_partitions(w) if lam in self.fix]
 
     def __eq__(self, other):
         if not isinstance(other, CycleIndex):
@@ -138,8 +140,8 @@ def atom_fix(name: str, lam, *params) -> int:
     return _atom(name)(lam, nk.weight(lam), *params)
 
 
-def zi_atom(name: str, bound: int, *params) -> CycleIndex:
-    """Cycle index of a named atom, exact to the weight bound.
+def atom_fixes(name: str, bound: int, *params) -> dict:
+    """The named atom's nonzero {type: fix-value} terms to the weight bound.
 
     ``E`` and ``S`` have fixed structures at every cycle type; every other
     atom fixes none off the equal-part types (0, ..., 0, m), so only
@@ -154,7 +156,20 @@ def zi_atom(name: str, bound: int, *params) -> CycleIndex:
             for d in range(1, bound + 1)
             for m in range(1, bound // d + 1)
         ]
-    return CycleIndex(bound, {lam: v for lam, n in types if (v := fix(lam, n, *params))})
+    return {lam: v for lam, n in types if (v := fix(lam, n, *params))}
+
+
+def zi_atom(name: str, bound: int, *params) -> CycleIndex:
+    """Cycle index of a named atom, exact to the weight bound."""
+    return CycleIndex(bound, atom_fixes(name, bound, *params))
+
+
+def type_series(fix, order) -> tuple[int, ...]:
+    """Type counts to the order of {partition: fix} terms, on integers (Burnside's lemma)."""
+    totals = [0] * (order + 1)
+    for lam, n in _scaled(fix, order).items():
+        totals[nk.weight(lam)] += n
+    return type_ints(totals, [nk.factorial(n) for n in range(order + 1)])
 
 
 def _terms(p: CycleIndex, bound: int) -> dict:
@@ -166,7 +181,7 @@ def zi_add(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     bound = min(p.bound, q.bound)
     fix = _terms(p, bound)
     for lam, v in _terms(q, bound).items():
-        fix[lam] = fix.get(lam, _ZERO) + v
+        fix[lam] = fix.get(lam, 0) + v
     return CycleIndex(bound, fix)
 
 
@@ -210,41 +225,50 @@ def _scale_parts(lam, factor):
     return tuple(out)
 
 
-def _graded(mono):
-    """(weight, [(partition, coeff), ...]) buckets in ascending weight."""
+def _graded(terms):
+    """(weight, [(partition, value), ...]) buckets in ascending weight."""
     buckets = {}
-    for lam, c in mono.items():
+    for lam, c in terms.items():
         buckets.setdefault(nk.weight(lam), []).append((lam, c))
     return sorted(buckets.items())
 
 
+def _scaled(fix, bound):
+    """The {partition: fix} terms of weight at most bound as {partition: N}."""
+    return {lam: v * (nk.factorial(w) // nk.aut(lam))
+            for lam, v in fix.items() if (w := nk.weight(lam)) <= bound}
+
+
+def _unscaled(bound, scaled, den=1):
+    """The index of fix-values N aut(lam) / (den |lam|!), each one exact division."""
+    fix = {}
+    for lam, n in scaled.items():
+        num, d = n * nk.aut(lam), den * nk.factorial(nk.weight(lam))
+        fix[lam] = num // d if num % d == 0 else Fraction(num, d)
+    return CycleIndex(bound, fix)
+
+
 def _mono_mul(a, b, bound):
-    """Product of two {partition: coeff} polynomials, truncated at weight bound."""
+    """Product of two {partition: N} polynomials in the n!-scaled basis, truncated at weight bound."""
     out = {}
     graded_b = _graded(b)
     for wa, terms_a in _graded(a):
         for wb, terms_b in graded_b:
             if wa + wb > bound:
                 break
-            for la, ca in terms_a:
-                for lb, cb in terms_b:
+            binom = nk.binomial(wa + wb, wa)
+            for la, na in terms_a:
+                na *= binom
+                for lb, nb in terms_b:
                     key = _add_mult(la, lb)
-                    out[key] = out.get(key, _ZERO) + ca * cb
+                    out[key] = out.get(key, 0) + na * nb
     return {k: v for k, v in out.items() if v}
-
-
-def _monomials(p, bound):
-    return {lam: v / nk.aut(lam) for lam, v in _terms(p, bound).items()}
-
-
-def _from_monomials(bound, mono):
-    return CycleIndex(bound, {lam: c * nk.aut(lam) for lam, c in mono.items() if c})
 
 
 def zi_mul(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     """Species product: polynomial multiplication in the x^lam basis."""
     bound = min(p.bound, q.bound)
-    return _from_monomials(bound, _mono_mul(_monomials(p, bound), _monomials(q, bound), bound))
+    return _unscaled(bound, _mono_mul(_scaled(p.fix, bound), _scaled(q.fix, bound), bound))
 
 
 def _drop_largest_part(lam):
@@ -277,25 +301,36 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     if () in q.fix:
         raise CompositionError("plethysm inner series has a weight-0 term")
     bound = min(p.bound, q.bound)
-    graded_q = _graded(_monomials(q, bound))
+    graded_q = _graded(_scaled(q.fix, bound))
     scaled = {}
 
     def q_scaled(i):
         if i not in scaled:
             scaled[i] = {
-                _scale_parts(lam, i): c
+                _scale_parts(lam, i): n * (nk.factorial(w * i) // nk.factorial(w))
                 for w, terms in graded_q
                 if w * i <= bound
-                for lam, c in terms
+                for lam, n in terms
             }
         return scaled[i]
 
-    substituted = _power_walk({(): Fraction(1)}, lambda a, b: _mono_mul(a, b, bound), q_scaled)
+    pairs = 0
+
+    def product(a, b):
+        nonlocal pairs
+        pairs += len(a) * len(b)
+        if pairs > ZI_PLETHYSM_PAIRS:
+            raise ScaleLimit(f"plethysm at weight bound {bound} exceeds {ZI_PLETHYSM_PAIRS} term pairs")
+        return _mono_mul(a, b, bound)
+
+    substituted = _power_walk({(): 1}, product, q_scaled)
+    fact = nk.factorial(bound)
     acc = {}
-    for lam, c in _monomials(p, bound).items():
-        for mu, cm in substituted(lam).items():
-            acc[mu] = acc.get(mu, _ZERO) + c * cm
-    return _from_monomials(bound, acc)
+    for lam, v in _terms(p, bound).items():
+        c = v * (fact // nk.aut(lam))
+        for mu, n in substituted(lam).items():
+            acc[mu] = acc.get(mu, 0) + c * n
+    return _unscaled(bound, acc, fact)
 
 
 def ogf_mul(a, b) -> tuple[int, ...]:
@@ -320,8 +355,8 @@ def ogf_plethysm(p: CycleIndex, g) -> tuple[int, ...]:
     is that of the partition with one largest part i removed, times
     g(x^i), as in ``zi_plethysm``.  Since aut(lam) divides |lam|!, the sum
     of fix/aut times the powers is taken over the common denominator
-    bound! (times the fix-values' denominators), with one division at the
-    end.
+    bound! (times the fix-values' denominators), with one exact division at
+    the end.
     """
     bound = p.bound
     if len(g) <= bound:
@@ -337,18 +372,18 @@ def ogf_plethysm(p: CycleIndex, g) -> tuple[int, ...]:
     den = lcm(*(v.denominator for v in p.fix.values()))
     acc = [0] * (bound + 1)
     for lam, v in p.fix.items():
-        c = fact // nk.aut(lam) * int(v * den)
+        c = fact // nk.aut(lam) * v.numerator * (den // v.denominator)
         for n, t in enumerate(substituted(lam)):
             acc[n] += c * t
-    return type_ints([Fraction(t, fact * den) for t in acc])
+    return type_ints(acc, [fact * den] * (bound + 1))
 
 
-def type_ints(coeffs) -> tuple[int, ...]:
-    """Rational type counts as ints; DomainError at the first that is not a nonnegative integer."""
-    for n, c in enumerate(coeffs):
-        if c.denominator != 1 or c < 0:
-            raise DomainError(f"type count at {n} is {c}, not a nonnegative integer")
-    return tuple(map(int, coeffs))
+def type_ints(totals, dens) -> tuple[int, ...]:
+    """Type counts totals[n]/dens[n] as ints; DomainError at the first that is not a nonnegative integer."""
+    for n, (t, d) in enumerate(zip(totals, dens)):
+        if t % d or t < 0:
+            raise DomainError(f"type count at {n} is {Fraction(t, d)}, not a nonnegative integer")
+    return tuple(t // d for t, d in zip(totals, dens))
 
 
 def box_type(beta, gamma) -> tuple[int, ...]:
@@ -380,17 +415,19 @@ def zi_aprod(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     if () in p.fix or () in q.fix:
         raise ZeroConstantRequired("arithmetic product of index series needs no weight-0 term")
     bound = min(p.bound, q.bound)
-    graded_q = _graded(_monomials(q, bound))
+    graded_q = _graded(_scaled(q.fix, bound))
     acc = {}
-    for wb, terms_b in _graded(_monomials(p, bound)):
+    for wb, terms_b in _graded(_scaled(p.fix, bound)):
         for wg, terms_g in graded_q:
             if wb * wg > bound:
                 break
-            for lb, cb in terms_b:
-                for lg, cg in terms_g:
+            rect = nk.rect_coeff(wb * wg, wb)
+            for lb, nb in terms_b:
+                nb *= rect
+                for lg, ng in terms_g:
                     alpha = box_type(lb, lg)
-                    acc[alpha] = acc.get(alpha, _ZERO) + cb * cg
-    return _from_monomials(bound, acc)
+                    acc[alpha] = acc.get(alpha, 0) + nb * ng
+    return _unscaled(bound, acc)
 
 
 def zi_to_egf(p: CycleIndex, order: int) -> TruncSeries:
@@ -400,7 +437,7 @@ def zi_to_egf(p: CycleIndex, order: int) -> TruncSeries:
     cs = []
     for n in range(order + 1):
         lam = (n,) if n else ()
-        cs.append(p.fix.get(lam, _ZERO) / nk.factorial(n))
+        cs.append(Fraction(p.fix.get(lam, 0), nk.factorial(n)))
     return TruncSeries(cs)
 
 
@@ -408,9 +445,9 @@ def zi_to_ogf(p: CycleIndex, order: int) -> TruncSeries:
     """Specialize x_i <- x^i: the isomorphism-types series."""
     if order > p.bound:
         raise DomainError(f"order {order} exceeds weight bound {p.bound}")
-    cs = [_ZERO] * (order + 1)
+    cs = [Fraction(0)] * (order + 1)
     for lam, v in p.fix.items():
         w = nk.weight(lam)
         if w <= order:
-            cs[w] += v / nk.aut(lam)
+            cs[w] += Fraction(v, nk.aut(lam))
     return TruncSeries(cs)

@@ -2,7 +2,8 @@
 
 ``species.type_counts`` reads ``_types``, which builds a cycle index only
 for the outer operand of a substitution and for the nodes whose type series
-does not follow from their operands' type series.  The arithmetic product is
+does not follow from their operands' type series; an atom's type series is
+the Burnside sum of its fix-values.  The arithmetic product is
 the Dirichlet convolution of its operands' type series.  ``eval_ogf``
 specialises the whole cycle index (``zi_aprod`` for an arithmetic product)
 and is the independent route: on every expression both give the same
@@ -13,6 +14,7 @@ are pinned past the CLI's order cap.
 
 import io
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 
@@ -24,6 +26,7 @@ from specalc import dslcli
 from specalc import numkit as nk
 from specalc import oracle
 from specalc import species as sp
+from specalc import zindex as zi
 from specalc.errors import (
     DomainError,
     ScaleLimit,
@@ -157,3 +160,26 @@ def test_type_count_errors_match_the_whole_cycle_index(text, n, cls, path):
         4 if cls is ScaleLimit else 3, f"{prefix}: {got[2]}\n", "",
     )
 
+
+def _types_cli(text, n):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dslcli.main(["types", text, "--n", str(n), "--format", "csv"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_nested_derivatives_of_a_substitution_stop_at_the_plethysm_budget(k):
+    # the derivatives raise comp(E, Ep)'s weight bound to 10 + k, within
+    # ZI_DERIV_BOUND; the plethysm there would take minutes
+    start = time.perf_counter()
+    code, out, err = _types_cli("deriv(" * k + "comp(E, Ep)" + ")" * k, 10)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (4, "")
+    assert err == (f"scale limit: plethysm at weight bound {10 + k} exceeds"
+                   f" {zi.ZI_PLETHYSM_PAIRS} term pairs\n")
+
+
+def test_plethysm_budget_admits_eight_nested_derivatives():
+    code, out, _ = _types_cli("deriv(" * 8 + "comp(E, Ep)" + ")" * 8, 10)
+    assert code == 0 and out.splitlines()[-1] == "10,19847703"

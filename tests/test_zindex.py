@@ -381,3 +381,134 @@ def test_every_cycle_index_rule_matches_the_oracle_at_every_partition():
             for lam in nk.int_partitions(w):
                 assert z.fix_value(lam) == oracle.fix_by_type(expr, lam), (expr, lam)
     assert kinds == set(sp.SpeciesExpr.__subclasses__()) - {sp.MAProd, sp.HCT}
+
+
+# -- the monomial route, the reference for the n!-scaled integer kernels ----------
+# Monomial coefficients fix/aut as Fractions, a naive truncated product, and
+# fix = coeff * aut back: no weight grading, scaling or exact division shared
+# with the kernels.
+
+
+def _monomials(p, bound):
+    return {lam: Fraction(v, nk.aut(lam)) for lam, v in p.fix.items() if nk.weight(lam) <= bound}
+
+
+def _from_monomials(bound, mono):
+    return CycleIndex(bound, {lam: c * nk.aut(lam) for lam, c in mono.items() if c})
+
+
+def _mono_mul(a, b, bound):
+    out = {}
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            if nk.weight(la) + nk.weight(lb) <= bound:
+                key = zi._add_mult(la, lb)
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def _reference_mul(p, q):
+    bound = min(p.bound, q.bound)
+    return _from_monomials(bound, _mono_mul(_monomials(p, bound), _monomials(q, bound), bound))
+
+
+def _reference_plethysm(p, q):
+    bound = min(p.bound, q.bound)
+    inner = _monomials(q, bound)
+    acc = {}
+    for lam, c in _monomials(p, bound).items():
+        power = {(): Fraction(1)}  # the product of q(x_i, x_2i, ...) over the parts i of lam
+        for i in nk.mult_to_parts(lam):
+            power = _mono_mul(power, {zi._scale_parts(mu, i): cm for mu, cm in inner.items()}, bound)
+        for mu, cm in power.items():
+            acc[mu] = acc.get(mu, Fraction(0)) + c * cm
+    return _from_monomials(bound, acc)
+
+
+def _reference_aprod(p, q):
+    bound = min(p.bound, q.bound)
+    acc = {}
+    for lb, cb in _monomials(p, bound).items():
+        for lg, cg in _monomials(q, bound).items():
+            if nk.weight(lb) * nk.weight(lg) <= bound:
+                alpha = zi.box_type(lb, lg)
+                acc[alpha] = acc.get(alpha, Fraction(0)) + cb * cg
+    return _from_monomials(bound, acc)
+
+
+def _random_index(rng, bound, fractional, constant):
+    """Up to eight random terms; fractional values with small denominators when asked."""
+    fix = {}
+    for _ in range(rng.randint(0, 8)):
+        lam = rng.choice(nk.int_partitions(rng.randint(0 if constant else 1, bound)))
+        den = rng.randint(1, 6) if fractional else 1
+        fix[lam] = Fraction(rng.randint(-30, 30), den)
+    return CycleIndex(bound, fix)
+
+
+def test_integer_kernels_match_the_monomial_route():
+    rng = random.Random(20)
+    kernels = (
+        (zi.zi_mul, _reference_mul, True),
+        (zi.zi_plethysm, _reference_plethysm, False),
+        (zi.zi_aprod, _reference_aprod, False),
+    )
+    fractional_results = 0
+    for trial in range(150):
+        fractional = trial % 2 == 1
+        for kernel, reference, constant in kernels:
+            p = _random_index(rng, rng.randint(3, 7), fractional, constant)
+            q = _random_index(rng, rng.randint(3, 7), fractional, constant)
+            got = kernel(p, q)
+            assert got == reference(p, q), (kernel.__name__, p.fix, q.fix)
+            assert all(type(v) is int or v.denominator > 1 for v in got.fix.values())
+            fractional_results += any(type(v) is Fraction for v in got.fix.values())
+    assert fractional_results > 50
+    # species operands, which have only integer fix-values
+    for f, g in itertools.product((sp.Eplus(), sp.C(), sp.Lplus(), sp.Splus()), repeat=2):
+        p, q = sp.eval_zi(f, 7), sp.eval_zi(g, 6)
+        for kernel, reference, _ in kernels:
+            assert kernel(p, q) == reference(p, q), (kernel.__name__, f, g)
+
+
+def _every_atom():
+    """Every atom class, with the arguments 0-3 where it takes one."""
+    for cls in sp.SpeciesExpr.__subclasses__():
+        if cls.fields == cls.int_fields:
+            yield from (cls(k) for k in range(4)) if cls.fields else (cls(),)
+
+
+def test_atom_type_series_match_the_specialised_index():
+    atoms = list(_every_atom())
+    assert len(atoms) == 9 + 5 * 4
+    for atom in atoms:
+        want = [int(c) for c in sp.eval_ogf(atom, 10).coeffs]
+        assert sp.type_counts(atom, 10) == want, atom
+        core = sp.core(atom)
+        if core.fields == core.int_fields:
+            assert zi.type_series(zi.atom_fixes(core.name, 10, *core.args), 10) == tuple(want)
+
+
+def test_no_float_enters_a_cycle_index_or_its_series(monkeypatch):
+    # int / int is a float in Python; TruncSeries would take it silently
+    handed = []
+
+    class Recording(se.TruncSeries):
+        __slots__ = ()
+
+        def __init__(self, coeffs):
+            coeffs = list(coeffs)
+            handed.extend(map(type, coeffs))
+            super().__init__(coeffs)
+
+    monkeypatch.setattr(zi, "TruncSeries", Recording)
+    rng = random.Random(7)
+    exprs = list(_every_atom()) + [rand_emptyfree(rng) for _ in range(40)]
+    for expr in exprs:
+        z = sp.eval_zi(expr, 6)
+        assert {type(v) for v in z.fix.values()} <= {int, Fraction}, expr
+        for lam, fix, coeff in z.rows():
+            assert type(fix) in (int, Fraction) and type(coeff) is Fraction, (expr, lam)
+        for series in (zi.zi_to_ogf(z, 6), zi.zi_to_egf(z, 6)):
+            assert all(type(c) is Fraction for c in series.coeffs), expr
+    assert handed and set(handed) <= {int, Fraction}
