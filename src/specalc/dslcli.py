@@ -32,9 +32,10 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from math import comb
+from math import comb, isfinite
 from typing import NamedTuple
 
 from . import numkit as nk
@@ -388,7 +389,7 @@ def cmd_check(expr_text: str, n: int) -> dict:
     return _record("check", to_source(prog.ast), n, {"rows": rows, "all_match": all_match})
 
 
-def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float = 1e-6) -> dict:
+def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float | Decimal = 1e-6) -> dict:
     payload_rows = []
     # Rectangles are the arithmetic square of Ep, k-rectangles its k-th power.
     if kind in ("rect", "krect"):
@@ -587,12 +588,31 @@ def _format_plain(record) -> str:
 
 # -- entry point ------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float | Decimal:
+    """``--tol`` as its exact decimal value, where its float is finite and it is positive.
+
+    ``float`` decides which texts parse.  Any other value stays the float,
+    so ``pittel_numeric`` names it as ``float`` prints it.  A ``Decimal``
+    keeps ``1e-400``, which the float rounds to 0, and compares exactly
+    with the enclosure's fractions however small its exponent, without
+    forming a power of ten.
+    """
+    value = float(text)
+    try:
+        exact = Decimal(text)
+    except InvalidOperation:  # an exponent past the decimal range
+        return value
+    return exact if isfinite(value) and exact > 0 else value
+
+
+_tolerance.__name__ = "float"  # argparse names the type in its error: invalid float value
+
 _EXPR_COMMANDS = ("counts", "types", "zindex", "dirichlet", "check", "enumerate")
 _FORMATS = ("json", "csv", "plain")
 _TABLE_KINDS = ("rect", "krect", "prect", "mnr", "pittel")
 # each command's options: the type argparse converts a value with, and the default
 _OPTIONS = {"--n": (int, None), "--format": (str, "plain"), "--out": (str, None)}
-_TABLE_OPTIONS = {**_OPTIONS, "--k": (int, 2), "--m": (int, 2), "--tol": (float, 1e-6)}
+_TABLE_OPTIONS = {**_OPTIONS, "--k": (int, 2), "--m": (int, 2), "--tol": (_tolerance, 1e-6)}
 
 
 def _build_argparser():

@@ -269,7 +269,7 @@ def k_partial_rectangles(n: int, k: int):
 
 def enumerate_structures(expr, labels):
     """Every structure of the expression on the label set, each exactly once."""
-    sp.validate(expr)
+    expr = sp.validate(expr)
     labels = canon_labels(labels)
     if len(set(labels)) != len(labels):
         raise DomainError("labels must be distinct")
@@ -281,7 +281,6 @@ def enumerate_structures(expr, labels):
 @lru_cache(maxsize=None)
 def _enum(expr, labels):
     n = len(labels)
-    expr = sp.core(expr)
     # an atom the oracle cannot enumerate is reported as such, whatever its size
     necklace = isinstance(expr, (sp.Necklace, sp.AperiodicNecklace))
     if necklace and expr.alpha > NECKLACE_ALPHABET_LIMIT:
@@ -477,7 +476,7 @@ def _transport(s, bij):
 
 def fix_count(expr, sigma) -> int:
     """Number of structures left fixed when transported along the permutation."""
-    sp.validate(expr)
+    expr = sp.validate(expr)
     labels = canon_labels(sigma.keys())
     if canon_labels(sigma.values()) != labels:
         raise DomainMismatch("sigma is not a permutation of its domain")

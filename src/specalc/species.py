@@ -34,10 +34,10 @@ The class is the one place the kind is declared: the grammar of
 ``name``, and its annotated fields are its arguments (an ``int`` field
 takes a nonnegative integer, any other an expression; the
 expression-valued ones are its ``children``).  Its count on the empty
-set is ``_counts(expr, 0)[0]``.  A node that only abbreviates a core form
-is one ``_SUGAR`` entry instead of a row: ``Ep``, ``Lp`` and
-``Sp`` are ``plus(E)``, ``plus(L)`` and ``plus(S)``; ``Ek(k)`` and
-``Xpow(n)`` are ``restrict(E, k)`` and ``restrict(L, n)``.
+set is ``_counts(expr, 0)[0]``.  A sugar atom, which only abbreviates a core
+form, is one ``_SUGAR`` entry, resolved by ``validate`` before any evaluator
+or the oracle sees the tree: ``Ep``/``Lp``/``Sp`` are ``plus`` of ``E``/``L``/``S``,
+and ``Ek(k)`` and ``Xpow(n)`` are ``restrict(E, k)`` and ``restrict(L, n)``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf
-from operator import add, mul
+from operator import add, is_not, mul
 
 from . import numkit as nk
 from . import zindex as zi
@@ -262,8 +262,8 @@ def children(expr: SpeciesExpr) -> tuple[SpeciesExpr, ...]:
     return tuple(a for a in expr.args if isinstance(a, SpeciesExpr))
 
 
-# Sugar atoms and the core forms they evaluate as; the evaluators and the
-# oracle see only core forms, while printing keeps the sugar.
+# Sugar atoms and their core forms; ``validate`` maps them, so the evaluators
+# and the oracle see only core forms, while printing keeps the sugar.
 _SUGAR = {
     Eplus: lambda e: NonEmpty(E()),
     Lplus: lambda e: NonEmpty(L()),
@@ -288,25 +288,30 @@ _EMPTY_FREE = {
 }
 
 
-def validate(expr: SpeciesExpr) -> None:
-    """Eagerly check the emptiness preconditions everywhere in the tree.
+def validate(expr: SpeciesExpr) -> SpeciesExpr:
+    """Check the emptiness preconditions everywhere in the tree; return its core form.
 
     The operands ``_EMPTY_FREE`` names must have no structures on the
     empty set; the first offender is reported with its node path.
     Children are checked before their parent, so the order-0 counts read
-    here never meet a kernel precondition.
+    here never meet a kernel precondition.  Each node is mapped by ``core``
+    after its children, so no evaluator or oracle node meets a sugar atom;
+    a node with no sugar at or below it comes back as the same object.
     """
 
     def rec(node, path):
         kids = children(node)
-        for i, ch in enumerate(kids):
-            rec(ch, path + (i,))
+        cores = [rec(ch, path + (i,)) for i, ch in enumerate(kids)]
         operands, message = _EMPTY_FREE.get(type(node), ((), None))
         for i in operands:
-            if _counts(kids[i], 0)[0]:
+            if _counts(cores[i], 0)[0]:
                 raise PreconditionViolated(path + (i,), message)
+        if any(map(is_not, cores, kids)):
+            it = iter(cores)
+            node = type(node)(*(next(it) if isinstance(a, SpeciesExpr) else a for a in node.args))
+        return core(node)
 
-    rec(expr, ())
+    return rec(expr, ())
 
 
 def _check_order(order: int) -> None:
@@ -356,7 +361,6 @@ def _masked(expr: SpeciesExpr, values) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _counts(expr: SpeciesExpr, order: int) -> tuple[int, ...]:
     """Labelled counts |F[0]| .. |F[order]| on exact integers, one kernel per node."""
-    expr = core(expr)
     if expr.fields == expr.int_fields:  # an atom: its fix-values at the identity types
         identity = [()] + [(n,) for n in range(1, order + 1)]
         return tuple(zi.atom_fix(expr.name, lam, *expr.args) for lam in identity)
@@ -375,15 +379,13 @@ def _egf(expr: SpeciesExpr, order: int) -> TruncSeries:
 def eval_egf(expr: SpeciesExpr, order: int) -> TruncSeries:
     """Exponential generating series of the expression, exact to the order."""
     _check_order(order)
-    validate(expr)
-    return _egf(expr, order)
+    return _egf(validate(expr), order)
 
 
 def eval_counts(expr: SpeciesExpr, order: int) -> list[int]:
     """Labelled counts |F[0]| .. |F[order]|."""
     _check_order(order)
-    validate(expr)
-    out = list(_counts(expr, order))
+    out = list(_counts(validate(expr), order))
     for n, v in enumerate(out):
         if v < 0:
             raise DomainError(f"count at {n} is {v}, not a nonnegative integer")
@@ -395,8 +397,7 @@ def eval_counts(expr: SpeciesExpr, order: int) -> list[int]:
 def eval_zi(expr: SpeciesExpr, bound: int) -> zi.CycleIndex:
     """Cycle index of the expression, exact to the weight bound."""
     _check_order(bound)
-    validate(expr)
-    return _zi(expr, bound, ())
+    return _zi(validate(expr), bound, ())
 
 
 # Most weight bound the cycle-index evaluator raises an operand to: each
@@ -406,7 +407,6 @@ ZI_DERIV_BOUND = 30
 
 
 def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
-    expr = core(expr)
     if expr.fields == expr.int_fields:  # an atom
         return zi.zi_atom(expr.name, bound, *expr.args)
     if isinstance(expr, Derivative):
@@ -442,8 +442,7 @@ def eval_ogf(expr: SpeciesExpr, order: int) -> TruncSeries:
 def type_counts(expr: SpeciesExpr, order: int) -> list[int]:
     """Unlabelled counts on integer type series, asserting integrality."""
     _check_order(order)
-    validate(expr)
-    return list(_types(expr, order, ()))
+    return list(_types(validate(expr), order, ()))
 
 
 def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
@@ -454,7 +453,6 @@ def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
     evaluated before operand 1, as in ``_zi``, so an error below a binary
     node names the same path on both routes.
     """
-    expr = core(expr)
     if expr.fields == expr.int_fields:  # an atom: the Burnside sum of its fix-values
         return zi.type_series(zi.atom_fixes(expr.name, order, *expr.args), order)
     if type(expr) in _MASKS:
@@ -625,13 +623,13 @@ def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
     Evaluates e^(-k) * sum over i_1..i_k >= 0 of (i_1...i_k)_n / (i_1!...i_k!)
     with a certified rational enclosure of width below tol, asserts the
     exact count from pr_k_exact lies inside, and returns (midpoint,
-    half-width) as floats.
+    half-width) as floats.  tol is compared exactly as it is given (a
+    float, a Fraction or a Decimal).
     """
     if k < 1 or n < 0:
         raise DomainError("need k >= 1 and n >= 0")
     if not 0 < tol < inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-    tol = Fraction(tol)
     box = 2 * n + 8
     _check_box(k, box)
     einv_lo, einv_hi = _einv_enclosure()

@@ -510,6 +510,30 @@ def test_pittel_non_finite_tolerance_exits_3(capsys):
         assert "Traceback" not in err
 
 
+def test_pittel_tolerance_is_read_exactly(capsys):
+    # 1e-400 is the float 0.0, but read exactly it is a positive tolerance
+    # that no box closes, so the box limit stops the first row
+    assert main(["table", "pittel", "--k", "2", "--n", "2", "--tol", "1e-400"]) == 4
+    err = capsys.readouterr().err
+    assert err == "scale limit: pittel box sum over 1025^2 points exceeds 1000000\n"
+    # a tolerance that is not finite and positive is still named as its float,
+    # as is one whose exponent is past the decimal range
+    past_decimal = "1e-" + "9" * 21
+    for tol, shown in (("0", "0.0"), ("-1", "-1.0"), ("-0", "-0.0"), ("1e400", "inf"),
+                       (past_decimal, "0.0")):
+        assert main(["table", "pittel", "--k", "2", "--n", "2", "--tol", tol]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: tolerance must be finite and positive, got {shown}\n"
+
+
+def test_pittel_tolerance_float_rejects_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "pittel", "--k", "2", "--n", "2", "--tol", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("specalc table: error: argument --tol: invalid float value: 'abc'\n")
+
+
 def test_max_n_env_override(monkeypatch, capsys):
     assert main(["counts", "E", "--n", "31"]) == 3
     monkeypatch.setenv("SPECALC_MAX_N", "40")

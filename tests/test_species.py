@@ -507,6 +507,22 @@ SUGAR = [
 ]
 
 
+# every sugar kind once below the root, with its core form written out by hand
+NESTED_SUGAR = [
+    (
+        sp.Sum(sp.AProd(sp.Splus(), sp.XPow(2)), sp.Restrict(sp.Lplus(), 3)),
+        sp.Sum(
+            sp.AProd(sp.NonEmpty(sp.S()), sp.Restrict(sp.L(), 2)),
+            sp.Restrict(sp.NonEmpty(sp.L()), 3),
+        ),
+    ),
+    (
+        sp.Point(sp.Subst(sp.Ek(2), sp.Eplus())),
+        sp.Point(sp.Subst(sp.Restrict(sp.E(), 2), sp.NonEmpty(sp.E()))),
+    ),
+]
+
+
 def test_sugar_atoms_evaluate_as_their_core_forms():
     assert sp.eval_counts(sp.Eplus(), 4) == [0, 1, 1, 1, 1]
     assert sp.eval_counts(sp.Ek(2), 4) == [0, 0, 1, 0, 0]
@@ -515,8 +531,12 @@ def test_sugar_atoms_evaluate_as_their_core_forms():
     sigma = {1: 2, 2: 3, 3: 1, 4: 4}
     for sugar, core in SUGAR:
         assert sp.core(sugar) == core
+    for sugar, core in SUGAR + NESTED_SUGAR:
+        assert sp.validate(sugar) == core, sugar
         assert sp.eval_counts(sugar, 8) == sp.eval_counts(core, 8), sugar
         assert sp.eval_zi(sugar, 6).fix == sp.eval_zi(core, 6).fix, sugar
+        assert sp.type_counts(sugar, 8) == sp.type_counts(core, 8), sugar
+        assert oracle.fix_count(sugar, sigma) == oracle.fix_count(core, sigma), sugar
         for n in range(5):
             got = oracle.enumerate_structures(sugar, labels[:n])
             assert got == oracle.enumerate_structures(core, labels[:n]), (sugar, n)
@@ -524,6 +544,68 @@ def test_sugar_atoms_evaluate_as_their_core_forms():
             assert oracle.transport(sugar, s, sigma) == oracle.transport(core, s, sigma)
     for expr in (sp.E(), sp.NonEmpty(sp.E()), sp.OnePlusXPow(2), sp.Sum(sp.Eplus(), sp.X())):
         assert sp.core(expr) is expr
+
+
+def _nodes(expr):
+    """The node and every node below it."""
+    yield expr
+    for ch in sp.children(expr):
+        yield from _nodes(ch)
+
+
+def _has_sugar(expr):
+    return any(type(e) in sp._SUGAR for e in _nodes(expr))
+
+
+def test_validate_resolves_sugar_before_any_evaluator_or_oracle_node(monkeypatch):
+    rng = random.Random(21)
+    corpus = [rand_emptyfree(rng) for _ in range(30)] + [rand_any(rng) for _ in range(30)]
+    corpus += [
+        sp.Derivative(sp.Sum(sp.Eplus(), sp.XPow(2))),
+        sp.Point(sp.Subst(sp.Lplus(), sp.Ek(2))),
+        sp.Subst(sp.Splus(), sp.Point(sp.Eplus())),
+        sp.Derivative(sp.Point(sp.Subst(sp.E(), sp.Lplus()))),
+        sp.HCT(sp.Ek(1)),
+        sp.Sum(sp.AProd(sp.C(), sp.Lplus()), sp.Prod(sp.E(), sp.L())),
+    ]
+    assert sum(map(_has_sugar, corpus)) >= 20 and sum(not _has_sugar(t) for t in corpus) >= 5
+    met = set()
+
+    def watch(module, name):
+        evaluator = getattr(module, name)
+
+        def seen(expr, *rest):
+            met.add(expr)
+            return evaluator(expr, *rest)
+
+        monkeypatch.setattr(module, name, seen)
+
+    sp._counts.cache_clear()  # so every node is computed, and so met, afresh
+    oracle._enum.cache_clear()
+    for module, name in ((sp, "_counts"), (sp, "_zi"), (sp, "_types"), (oracle, "_enum")):
+        watch(module, name)
+    sigma = {1: 2, 2: 3, 3: 1}
+    for tree in corpus:
+        sp.eval_counts(tree, 6)
+        try:
+            sp.type_counts(tree, 5)
+            sp.eval_zi(tree, 4)
+        except UnsupportedForCycleIndex:  # maprod and hct have no cycle index
+            pass
+        for n in range(4):
+            oracle.enumerate_structures(tree, range(1, n + 1))
+        oracle.fix_count(tree, sigma)
+    assert len(met) > len(corpus)
+    assert not any(map(_has_sugar, met))
+    for tree in corpus:
+        done = sp.validate(tree)
+        assert not _has_sugar(done) and sp.validate(done) is done, tree
+        if not _has_sugar(tree):
+            assert done is tree, tree
+        # a sugar-free operand of a tree with sugar comes back as the same object
+        for i, ch in enumerate(sp.children(tree)):
+            if not _has_sugar(ch):
+                assert sp.children(done)[i] is ch, (tree, i)
 
 
 def _children_by_hand(expr):
