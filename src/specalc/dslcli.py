@@ -356,9 +356,10 @@ def cmd_zindex(expr_text: str, n: int) -> dict:
 def cmd_dirichlet(expr_text: str, n: int) -> dict:
     _check_order(n)
     prog = parse(expr_text)
-    counts = sp.eval_counts(prog.ast, n)
-    if counts[0]:
+    tree = sp.validate(prog.ast)
+    if sp.eval_counts(tree, 0)[0]:  # before the counts to n, which it would discard
         raise ZeroConstantRequired("arithmetic product operand has a nonzero constant term")
+    counts = sp.eval_counts(tree, n)
     terms = [Fraction(c, nk.factorial(m)) for m, c in enumerate(counts) if m]
     return _record("dirichlet", to_source(prog.ast), n, {"terms": [_rat(t) for t in terms]})
 
@@ -376,11 +377,12 @@ def cmd_enumerate(expr_text: str, n: int) -> dict:
 def cmd_check(expr_text: str, n: int) -> dict:
     _check_oracle_order(n, "check")
     prog = parse(expr_text)
-    counts = sp.eval_counts(prog.ast, n)
+    tree = sp.validate(prog.ast)  # once, so the oracle's cache meets the same tree
+    counts = sp.eval_counts(tree, n)
     rows = []
     all_match = True
     for m in range(n + 1):
-        got = len(oracle.enumerate_structures(prog.ast, range(1, m + 1)))
+        got = len(oracle.enumerate_structures(tree, range(1, m + 1)))
         ok = got == counts[m]
         all_match = all_match and ok
         rows.append(

@@ -112,17 +112,23 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def bell(n: int) -> int:
-    """Number of set partitions of an n-set, by the Bell triangle."""
+def bell_numbers(n: int) -> tuple[int, ...]:
+    """Bell numbers B_0 .. B_n, the first entries of the Bell triangle's rows."""
     if n < 0:
         raise DomainError(f"Bell number of negative index {n}")
-    row = [1]
+    out, row = [1], [1]
     for _ in range(n):
         nxt = [row[-1]]
         for v in row:
             nxt.append(nxt[-1] + v)
         row = nxt
-    return row[0]
+        out.append(row[0])
+    return tuple(out)
+
+
+def bell(n: int) -> int:
+    """Number of set partitions of an n-set."""
+    return bell_numbers(n)[n]
 
 
 def stirling1_table(n: int) -> list[list[int]]:
@@ -264,26 +270,33 @@ def product_counts(f, g) -> tuple[int, ...]:
 def compose_counts(f, g) -> tuple[int, ...]:
     """Counts of the substitution by partial Bell polynomials B_(m,k)(g_1, g_2, ...).
 
-    B_(m,k) = sum_i C(m-1, i-1) g_i B_(m-i,k-1) and h_m = sum_k f_k B_(m,k).
+    h_m = sum_k f_k B_(m,k), with B_(m,1) = g_m and row k >= 2 formed from
+    row k - 1 as B_(m,k) = sum_i C(m-1, i-1) g_i B_(m-i,k-1): one dot product
+    of the list C(m-1, i-1) g_i (lo <= i <= min(m, hi)), built once per call,
+    with row k - 1 read backwards from B_(m-lo,k-1) down to B_((k-1) lo,k-1),
+    where its support starts; the product stops at the shorter of the two.
+    Here lo and hi are the least and largest i with g_i != 0, so row k is
+    nonzero only for k lo <= m <= k hi: each row is formed over that
+    support, and no row past k = order // lo is formed.
     """
     if g[0]:
         raise CompositionError("inner series must have zero constant term")
     order = len(f) - 1
-    pascal = [[comb(m, i) for i in range(m + 1)] for m in range(order)]
-    h = [f[0]] + [0] * order
-    bell = [1] + [0] * order  # B_(m,0)
-    for k in range(1, order + 1):
-        bell = [0] * k + [
-            sum(
-                pascal[m - 1][i - 1] * g[i] * bell[m - i]
-                for i in range(1, m - k + 2)
-                if g[i] and bell[m - i]
-            )
-            for m in range(k, order + 1)
-        ]
+    support = [i for i in range(1, order + 1) if g[i]]
+    if not support:
+        return (f[0],) + (0,) * order
+    lo, hi = support[0], support[-1]
+    gc = [[comb(m - 1, i - 1) * g[i] for i in range(lo, min(m, hi) + 1)] for m in range(order + 1)]
+    row = list(g)  # B_(m,1)
+    h = [f[0]] + [f[1] * v for v in g[1:]]
+    for k in range(2, order // lo + 1):
+        prev, row = row, [0] * (order + 1)
+        span = range(k * lo, min(k * hi, order) + 1)
+        for m in span:
+            row[m] = sum(map(mul, gc[m], prev[m - lo:(k - 1) * lo - 1:-1]))
         if f[k]:
-            for m in range(k, order + 1):
-                h[m] += f[k] * bell[m]
+            for m in span:
+                h[m] += f[k] * row[m]
     return tuple(h)
 
 

@@ -499,13 +499,13 @@ def perm_of_type(lam) -> dict:
 
 def fix_by_type(expr, lam) -> int:
     """Fix count at any permutation of the cycle type (conjugation-invariant)."""
-    sp.validate(expr)
+    expr = sp.validate(expr)
     return fix_count(expr, perm_of_type(lam))
 
 
 def orbit_type_count(expr, n: int) -> int:
     """Number of isomorphism types on an n-set, by averaging fix counts."""
-    sp.validate(expr)
+    expr = sp.validate(expr)
     total = Fraction(0)
     for lam in nk.int_partitions(n):
         total += Fraction(fix_count(expr, perm_of_type(lam)), nk.aut(lam))

@@ -561,7 +561,7 @@ def pr_k_exact(k: int, order: int) -> list[int]:
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     _check_order(order)
-    out = nk.stirling1_transform([nk.bell(n) ** k for n in range(order + 1)])
+    out = nk.stirling1_transform([b ** k for b in nk.bell_numbers(order)])
     assert all(v >= 0 for v in out)
     return out
 

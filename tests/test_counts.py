@@ -8,6 +8,7 @@ counts, and both must agree with brute-force enumeration.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
@@ -17,7 +18,7 @@ from specalc import numkit as nk
 from specalc import oracle
 from specalc import series as se
 from specalc import species as sp
-from specalc.errors import PreconditionViolated
+from specalc.errors import CompositionError, PreconditionViolated
 from specalc.series import TruncSeries
 from test_cli_properties import _SETTINGS, LEAF_CLASSES, trees
 
@@ -169,3 +170,67 @@ def test_stirling_tables_match_sympy():
             assert s1[m][k] == stirling(m, k, kind=1, signed=True), (m, k)
             assert abs(s1[m][k]) == stirling(m, k, kind=1), (m, k)
             assert s2[m][k] == stirling(m, k, kind=2), (m, k)
+
+
+def _compose_triangle(f, g):
+    """The partial Bell triangle term by term, the reference for ``compose_counts``."""
+    order = len(f) - 1
+    h = [f[0]] + [0] * order
+    bell = [1] + [0] * order  # B_(m,0)
+    for k in range(1, order + 1):
+        bell = [0] * k + [
+            sum(nk.binomial(m - 1, i - 1) * g[i] * bell[m - i] for i in range(1, m - k + 2))
+            for m in range(k, order + 1)
+        ]
+        for m in range(k, order + 1):
+            h[m] += f[k] * bell[m]
+    return tuple(h)
+
+
+def test_compose_counts_matches_the_fraction_substitution():
+    e, ep, lin = sp.E(), sp.Eplus(), sp.L()
+    got = nk.compose_counts(sp._counts(e, 60), sp._counts(sp.validate(ep), 60))
+    assert list(got) == se.compose(_ref_egf(e, 60), _ref_egf(ep, 60)).counts()
+    assert got[30] == 846749014511809332450147 and got[60] == nk.bell(60)
+    got = nk.compose_counts(sp._counts(lin, 40), sp._counts(sp.validate(ep), 40))
+    assert list(got) == se.compose(_ref_egf(lin, 40), _ref_egf(ep, 40)).counts()
+    assert got[12] == 28091567595  # the Fubini number of ordered set partitions
+
+
+def test_compose_counts_matches_the_triangle():
+    def seq(*nonzero, order=30):
+        return tuple(dict(nonzero).get(m, 0) for m in range(order + 1))
+
+    inner = [
+        seq((1, 1)),  # X
+        seq((2, 2)),  # Xpow(2)
+        seq((2, 2), (3, 6)),  # X^2 + X^3
+        seq((1, 1), (30, 7)),  # a gap between the least and largest term
+        seq(),  # no term at all
+        seq(*((m, 1) for m in range(1, 31))),  # Ep
+    ]
+    outer = [
+        seq(*((m, 1) for m in range(31))),  # E
+        seq((0, 3), (4, 1), (5, 2), (11, 1), (29, 5)),  # runs of zeros
+        seq((2, 1)),  # Ek(2)
+    ]
+    for g in inner:
+        for f in outer:
+            assert nk.compose_counts(f, g) == _compose_triangle(f, g), (f, g)
+    for f, g in [((5,), (0,)), ((5, 7), (0, 0)), ((5, 7), (0, 3))]:  # orders 0 and 1
+        assert nk.compose_counts(f, g) == _compose_triangle(f, g), (f, g)
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(st.integers(0, 18).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1, max_size=n + 1),
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n),
+)))
+def test_compose_counts_matches_the_triangle_on_drawn_sequences(fg):
+    f, g = fg[0], [0] + fg[1]
+    assert nk.compose_counts(f, g) == _compose_triangle(f, g)
+
+
+def test_compose_counts_rejects_a_constant_inner_term():
+    with pytest.raises(CompositionError, match="zero constant term"):
+        nk.compose_counts((1, 1, 1), (1, 1, 0))

@@ -59,6 +59,10 @@ def test_mobius_divisor_sum_vanishes():
 
 def test_bell():
     assert [nk.bell(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    assert nk.bell_numbers(8) == (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+    assert nk.bell_numbers(0) == (1,)
+    with pytest.raises(DomainError):
+        nk.bell(-1)
 
 
 def test_falling():
