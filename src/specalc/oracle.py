@@ -395,12 +395,8 @@ def _necklace_period(colors):
 
 # -- transport ------------------------------------------------------------------------
 
-def transport(expr, structure, bij):
-    """Relabel a structure of the expression along a bijection.
-
-    The structure's tags drive the move: each node of it leads with a tag
-    naming its kind, so the expression itself is not read.
-    """
+def transport(structure, bij):
+    """Relabel a structure along a bijection; each of its nodes leads with a tag naming its kind."""
     values = list(bij.values())
     if len(set(values)) != len(values):
         raise DomainMismatch("mapping is not injective")

@@ -7,15 +7,15 @@ multiplicativity tools, and the closed-form matrix/partial-rectangle
 counting formulas.
 
 Labelled counts are exact ``int`` tuples, one ``numkit`` count kernel per
-operation, ``hct`` included; an atom's counts are its fix-values
-(``zindex.atom_fix``) at the identity permutations, the same table its
-cycle index is built from.  ``eval_counts`` asserts that every count is
+operation, ``hct`` included, and an atom's fix-values at the identity types
+(``zindex.atom_counts``).  ``eval_counts`` asserts that every count is
 nonnegative.  The ``Fraction`` kernels of ``series`` are the independent
 route the tests compare them against.  Type counts (``type_counts``) are
-``int`` tuples too, from ``_types``: an atom's are the Burnside sums of its
-fix-values in that table (``zindex.type_series``, no index built), and the
-arithmetic product is the Dirichlet convolution of its operands' type series;
-``eval_ogf``, which specialises the whole cycle index, is their independent route.
+``int`` tuples too, from ``_types``: the arithmetic product is the Dirichlet
+convolution of its operands' type series, and an atom the Burnside sum over
+its index; ``eval_ogf``, which specialises the whole cycle index, is their
+independent route.  Every index is a ``zindex`` kernel's (``zi_deriv`` and
+``zi_mask`` too), stored unchecked: this module builds none and reads no term.
 
 A new node kind is one ``SpeciesExpr`` subclass here, one ``_RULES`` row
 (its count rule, its ``zindex`` cycle-index kernel or the noun of the
@@ -43,7 +43,7 @@ and ``Ek(k)`` and ``Xpow(n)`` are ``restrict(E, k)`` and ``restrict(L, n)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, inf
 from operator import add, is_not, mul
 
@@ -362,8 +362,7 @@ def _masked(expr: SpeciesExpr, values) -> tuple[int, ...]:
 def _counts(expr: SpeciesExpr, order: int) -> tuple[int, ...]:
     """Labelled counts |F[0]| .. |F[order]| on exact integers, one kernel per node."""
     if expr.fields == expr.int_fields:  # an atom: its fix-values at the identity types
-        identity = [()] + [(n,) for n in range(1, order + 1)]
-        return tuple(zi.atom_fix(expr.name, lam, *expr.args) for lam in identity)
+        return zi.atom_counts(expr.name, order, *expr.args)
     if isinstance(expr, Derivative):
         return _counts(expr.f, order + 1)[1:]
     if type(expr) in _MASKS:
@@ -415,18 +414,9 @@ def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
                 f"derivatives raise the cycle-index weight bound to {bound + 1},"
                 f" past {ZI_DERIV_BOUND}"
             )
-        # fix of the derivative at lam is fix of the operand at lam plus one fixed point
-        inner = _zi(expr.f, bound + 1, path + (0,))
-        return zi.CycleIndex(bound, {
-            (lam[0] - 1,) + lam[1:] if lam != (1,) else (): v
-            for lam, v in inner.fix.items()
-            if lam and lam[0]
-        })
+        return zi.zi_deriv(_zi(expr.f, bound + 1, path + (0,)))
     if type(expr) in _MASKS:
-        keep, inner = _MASKS[type(expr)], _zi(expr.f, bound, path + (0,))
-        return zi.CycleIndex(bound, {
-            lam: v for lam, v in inner.fix.items() if keep(expr, nk.weight(lam))
-        })
+        return zi.zi_mask(_zi(expr.f, bound, path + (0,)), partial(_MASKS[type(expr)], expr))
     kernel = _rule(expr)[1]
     if not kernel.startswith("zi_"):
         raise UnsupportedForCycleIndex(path, f"no cycle index for {kernel}")
@@ -453,8 +443,6 @@ def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
     evaluated before operand 1, as in ``_zi``, so an error below a binary
     node names the same path on both routes.
     """
-    if expr.fields == expr.int_fields:  # an atom: the Burnside sum of its fix-values
-        return zi.type_series(zi.atom_fixes(expr.name, order, *expr.args), order)
     if type(expr) in _MASKS:
         return _masked(expr, _types(expr.f, order, path + (0,)))
     if isinstance(expr, Subst):
@@ -462,7 +450,7 @@ def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
     rule = _RULES.get(type(expr), (None,) * 3)[2]
     if rule:
         return rule(*(_types(ch, order, path + (i,)) for i, ch in enumerate(children(expr))))
-    return zi.type_series(_zi(expr, order, path).fix, order)
+    return zi.type_series(_zi(expr, order, path), order)
 
 
 # -- hyper-cloned rooted trees ---------------------------------------------------

@@ -5,7 +5,10 @@ exact fix-values; the polynomial it denotes is
 
     sum over lam of  fix[lam] * x^lam / aut(lam).
 
-Keys of weight above the bound are rejected and zero values are never
+Terms from outside this module enter through ``CycleIndex(bound, fix)``,
+which rejects a key that is not a partition within the bound, as
+``fix_value`` and ``coeff`` do; a kernel's terms, formed from checked
+operands, are stored through ``_of`` unchecked.  Zero values are never
 stored; an integral value is stored as an ``int``, any other as a
 ``Fraction``.  The sum, the Hadamard product and pointing act directly on
 fix-values.  The product, plethysm and arithmetic product work on the
@@ -52,24 +55,12 @@ class CycleIndex:
     def __init__(self, bound, fix=None):
         if bound < 0:
             raise DomainError(f"weight bound must be >= 0, got {bound}")
-        self.bound = bound
-        store = {}
-        for lam, v in (fix or {}).items():
-            lam = tuple(lam)
-            if lam and lam[-1] == 0:
-                raise DomainError(f"partition key {lam} has trailing zeros")
-            if any(m < 0 for m in lam):
-                raise DomainError(f"partition key {lam} has negative multiplicity")
-            if nk.weight(lam) > bound:
-                raise DomainError(f"key {lam} exceeds weight bound {bound}")
-            if type(v) is not int and (v := Fraction(v)).denominator == 1:
-                v = v.numerator
-            if v:
-                store[lam] = v
-        self.fix = store
+        checked = {_key(lam, bound): v if type(v) is int else Fraction(v)
+                   for lam, v in (fix or {}).items()}
+        self.bound, self.fix = bound, _of(bound, checked).fix
 
     def fix_value(self, lam):
-        return self.fix.get(tuple(lam), 0)
+        return self.fix.get(_key(lam, self.bound), 0)
 
     def coeff(self, lam):
         """Monomial coefficient fix[lam]/aut(lam), a ``Fraction``."""
@@ -77,7 +68,7 @@ class CycleIndex:
 
     def rows(self):
         """(partition, fix, monomial coefficient) triples in canonical order."""
-        return [(lam, self.fix[lam], self.coeff(lam))
+        return [(lam, self.fix[lam], Fraction(self.fix[lam], nk.aut(lam)))
                 for w in range(self.bound + 1) for lam in nk.int_partitions(w) if lam in self.fix]
 
     def __eq__(self, other):
@@ -90,6 +81,27 @@ class CycleIndex:
 
     def __repr__(self):
         return f"CycleIndex(bound={self.bound}, terms={len(self.fix)})"
+
+
+def _key(lam, bound):
+    """lam as a partition key of weight at most bound; DomainError otherwise."""
+    lam = tuple(lam)
+    if lam and lam[-1] == 0:
+        raise DomainError(f"partition key {lam} has trailing zeros")
+    if any(m < 0 for m in lam):
+        raise DomainError(f"partition key {lam} has negative multiplicity")
+    if nk.weight(lam) > bound:
+        raise DomainError(f"key {lam} exceeds weight bound {bound}")
+    return lam
+
+
+def _of(bound, fix):
+    """The index of {partition: int or Fraction} terms whose keys need no check."""
+    p = object.__new__(CycleIndex)
+    p.bound = bound
+    p.fix = {lam: v if type(v) is int or v.denominator > 1 else v.numerator
+             for lam, v in fix.items() if v}
+    return p
 
 
 def partition_label(lam) -> str:
@@ -129,19 +141,14 @@ def _atom(name):
     return _ATOM_FIX[name]
 
 
-def atom_fix(name: str, lam, *params) -> int:
-    """How many structures of the named atom a permutation of cycle type lam fixes.
-
-    Names: ``1 X E L C S`` and, with one integer argument, ``OnePlusXpow``,
-    ``necklace`` and ``aperiodic``.  At the identity types () and (n,) this
-    is the labelled count.  The sugar atoms (``Ep``, ``Ek(k)``, ...) are
-    restrictions of these, which ``species.core`` spells out.
-    """
-    return _atom(name)(lam, nk.weight(lam), *params)
+def atom_counts(name: str, order: int, *params) -> tuple[int, ...]:
+    """The named atom's labelled counts to the order: its fix-values at the identity types."""
+    fix = _atom(name)
+    return tuple(fix((n,) if n else (), n, *params) for n in range(order + 1))
 
 
-def atom_fixes(name: str, bound: int, *params) -> dict:
-    """The named atom's nonzero {type: fix-value} terms to the weight bound.
+def zi_atom(name: str, bound: int, *params) -> CycleIndex:
+    """Cycle index of a named atom, exact to the weight bound.
 
     ``E`` and ``S`` have fixed structures at every cycle type; every other
     atom fixes none off the equal-part types (0, ..., 0, m), so only
@@ -156,18 +163,15 @@ def atom_fixes(name: str, bound: int, *params) -> dict:
             for d in range(1, bound + 1)
             for m in range(1, bound // d + 1)
         ]
-    return {lam: v for lam, n in types if (v := fix(lam, n, *params))}
+    return _of(bound, {lam: fix(lam, n, *params) for lam, n in types})
 
 
-def zi_atom(name: str, bound: int, *params) -> CycleIndex:
-    """Cycle index of a named atom, exact to the weight bound."""
-    return CycleIndex(bound, atom_fixes(name, bound, *params))
-
-
-def type_series(fix, order) -> tuple[int, ...]:
-    """Type counts to the order of {partition: fix} terms, on integers (Burnside's lemma)."""
+def type_series(p: CycleIndex, order: int) -> tuple[int, ...]:
+    """Type counts of the index to the order, on integers (Burnside's lemma)."""
+    if order > p.bound:
+        raise DomainError(f"order {order} exceeds weight bound {p.bound}")
     totals = [0] * (order + 1)
-    for lam, n in _scaled(fix, order).items():
+    for lam, n in _scaled(p.fix, order).items():
         totals[nk.weight(lam)] += n
     return type_ints(totals, [nk.factorial(n) for n in range(order + 1)])
 
@@ -182,23 +186,35 @@ def zi_add(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     fix = _terms(p, bound)
     for lam, v in _terms(q, bound).items():
         fix[lam] = fix.get(lam, 0) + v
-    return CycleIndex(bound, fix)
+    return _of(bound, fix)
 
 
 def zi_hadamard(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     """fix-wise product: structures on both sides fixed by the same permutation."""
     bound = min(p.bound, q.bound)
     fq = _terms(q, bound)
-    return CycleIndex(bound, {lam: v * fq[lam] for lam, v in _terms(p, bound).items() if lam in fq})
+    return _of(bound, {lam: v * fq[lam] for lam, v in _terms(p, bound).items() if lam in fq})
 
 
 def zi_point(p: CycleIndex) -> CycleIndex:
     """Pointing: multiply each fix-value by the number of fixed points m_1."""
-    fix = {}
-    for lam, v in p.fix.items():
-        if lam and lam[0]:
-            fix[lam] = lam[0] * v
-    return CycleIndex(p.bound, fix)
+    return _of(p.bound, {lam: lam[0] * v for lam, v in p.fix.items() if lam})
+
+
+def zi_deriv(p: CycleIndex) -> CycleIndex:
+    """Derivative, one weight below p's bound: fix at lam is p's fix at lam plus one fixed point."""
+    if not p.bound:
+        raise DomainError("the derivative of an index needs weight bound >= 1")
+    return _of(p.bound - 1, {
+        (lam[0] - 1,) + lam[1:] if lam != (1,) else (): v
+        for lam, v in p.fix.items()
+        if lam and lam[0]
+    })
+
+
+def zi_mask(p: CycleIndex, keep) -> CycleIndex:
+    """p's terms whose weight n satisfies keep(n): ``plus`` and ``restrict`` of an index."""
+    return _of(p.bound, {lam: v for lam, v in p.fix.items() if keep(nk.weight(lam))})
 
 
 def _add_mult(a, b):
@@ -245,7 +261,7 @@ def _unscaled(bound, scaled, den=1):
     for lam, n in scaled.items():
         num, d = n * nk.aut(lam), den * nk.factorial(nk.weight(lam))
         fix[lam] = num // d if num % d == 0 else Fraction(num, d)
-    return CycleIndex(bound, fix)
+    return _of(bound, fix)
 
 
 def _mono_mul(a, b, bound):

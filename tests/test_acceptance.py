@@ -268,9 +268,9 @@ def test_criterion_12_functoriality():
             rng.shuffle(p2)
             s2 = dict(zip(labels, p2))
             composed = {u: s2[s1[u]] for u in labels}
-            ok = ok and oracle.transport(expr, s, ident) == s
-            ok = ok and oracle.transport(expr, oracle.transport(expr, s, s1), s2) == (
-                oracle.transport(expr, s, composed)
+            ok = ok and oracle.transport(s, ident) == s
+            ok = ok and oracle.transport(oracle.transport(s, s1), s2) == (
+                oracle.transport(s, composed)
             )
             transport_cases += 1
     conj_cases = 0

@@ -107,7 +107,7 @@ def test_every_node_kind_has_one_evaluator_entry():
         ]
         assert homes.count(True) == 1, cls
         if cls.fields == cls.int_fields and cls not in sp._SUGAR:
-            zi.atom_fix(cls.name, (), *(2,) * len(cls.fields))  # UnknownAtom if missing
+            zi.atom_counts(cls.name, 0, *(2,) * len(cls.fields))  # UnknownAtom if missing
     for cls, (count_rule, kernel, type_rule) in sp._RULES.items():
         assert callable(count_rule) and (type_rule is None or callable(type_rule)), cls
         if kernel.startswith("zi_"):
@@ -540,8 +540,9 @@ def test_sugar_atoms_evaluate_as_their_core_forms():
         for n in range(5):
             got = oracle.enumerate_structures(sugar, labels[:n])
             assert got == oracle.enumerate_structures(core, labels[:n]), (sugar, n)
+        core_structures = oracle.enumerate_structures(core, labels)
         for s in oracle.enumerate_structures(sugar, labels):
-            assert oracle.transport(sugar, s, sigma) == oracle.transport(core, s, sigma)
+            assert oracle.transport(s, sigma) in core_structures, (sugar, s)
     for expr in (sp.E(), sp.NonEmpty(sp.E()), sp.OnePlusXPow(2), sp.Sum(sp.Eplus(), sp.X())):
         assert sp.core(expr) is expr
 

@@ -486,7 +486,7 @@ def test_atom_type_series_match_the_specialised_index():
         assert sp.type_counts(atom, 10) == want, atom
         core = sp.core(atom)
         if core.fields == core.int_fields:
-            assert zi.type_series(zi.atom_fixes(core.name, 10, *core.args), 10) == tuple(want)
+            assert zi.type_series(zi.zi_atom(core.name, 10, *core.args), 10) == tuple(want)
 
 
 def test_no_float_enters_a_cycle_index_or_its_series(monkeypatch):
@@ -512,3 +512,111 @@ def test_no_float_enters_a_cycle_index_or_its_series(monkeypatch):
         for series in (zi.zi_to_ogf(z, 6), zi.zi_to_egf(z, 6)):
             assert all(type(c) is Fraction for c in series.coeffs), expr
     assert handed and set(handed) <= {int, Fraction}
+
+
+# -- the checked door and the kernels that store their own terms -----------------
+
+
+def test_lookups_reject_a_key_that_is_not_a_partition_within_the_bound():
+    # each of these non-canonical keys read as 0 where the structures are fixed
+    cases = [(sp.C(), (0, 1, 0), (0, 1), 1), (sp.L(), (2, 0), (2,), 2), (sp.E(), (1, 0), (1,), 1)]
+    for atom, bad, lam, fixed in cases:
+        z = zi.zi_atom(atom.name, 3)
+        assert z.fix_value(lam) == fixed == oracle.fix_by_type(atom, bad), atom
+        for lookup in (z.fix_value, z.coeff):
+            with pytest.raises(DomainError, match=r"partition key .* has trailing zeros"):
+                lookup(bad)
+    z = zi.zi_atom("S", 3)
+    with pytest.raises(DomainError, match=r"partition key \(1, -1, 1\) has negative multiplicity"):
+        z.fix_value([1, -1, 1])
+    with pytest.raises(DomainError, match=r"key \(0, 2\) exceeds weight bound 3"):
+        z.coeff((0, 2))
+    assert z.fix_value([1, 1]) == 2 and z.coeff((0, 0, 1)) == 1
+
+
+def test_atom_counts_are_the_fix_values_at_the_identity_types():
+    for atom in _every_atom():
+        core = sp.core(atom)
+        if core.fields == core.int_fields:
+            z = zi.zi_atom(core.name, 6, *core.args)
+            want = tuple(z.fix_value((n,) if n else ()) for n in range(7))
+            assert zi.atom_counts(core.name, 6, *core.args) == want, atom
+    assert zi.atom_counts("C", 4) == (0, 1, 1, 2, 6)
+    with pytest.raises(UnknownAtom):
+        zi.atom_counts("Par", 3)
+
+
+def _assert_stored_as_the_door_stores(r):
+    """r holds what ``CycleIndex(r.bound, r.fix)`` would: checked keys, no zero, exact values."""
+    assert CycleIndex(r.bound, r.fix) == r
+    assert all(v and (type(v) is int or v.denominator > 1) for v in r.fix.values()), r.fix
+
+
+def _every_kernel(p, q):
+    """Every index-building kernel applied to p and q where its preconditions hold."""
+    out = [zi.zi_add(p, q), zi.zi_mul(p, q), zi.zi_hadamard(p, q), zi.zi_point(p)]
+    out += [zi.zi_mask(p, lambda n: n > 0), zi.zi_mask(p, lambda n: n == 3)]
+    if p.bound:
+        out.append(zi.zi_deriv(p))
+    if () not in q.fix:
+        out.append(zi.zi_plethysm(p, q))
+        if () not in p.fix:
+            out.append(zi.zi_aprod(p, q))
+    return out
+
+
+def test_every_kernel_stores_what_the_door_would_store():
+    rng = random.Random(23)
+    atoms = list(_every_atom())
+    cores = [sp.core(a) for a in atoms]
+    pool = [zi.zi_atom(c.name, 6, *c.args) for c in cores if c.fields == c.int_fields]
+    pool += [sp.eval_zi(a, 6) for a in atoms]
+    pool += [sp.eval_zi(rand_emptyfree(rng), 6) for _ in range(30)]
+    for r in pool:
+        _assert_stored_as_the_door_stores(r)
+    built = 0
+    for _ in range(60):
+        for r in _every_kernel(rng.choice(pool), rng.choice(pool)):
+            _assert_stored_as_the_door_stores(r)
+            built += 1
+    # outside indices: fractional, negative and at unequal bounds
+    for trial in range(150):
+        constant = trial % 3 != 0
+        p, q = (_random_index(rng, rng.randint(1 - constant, 7), trial % 2 == 1, constant)
+                for _ in range(2))
+        for r in _every_kernel(p, q):
+            _assert_stored_as_the_door_stores(r)
+            built += 1
+    assert built > 1000
+
+
+def test_species_evaluators_pass_no_term_through_the_door(monkeypatch):
+    calls = []
+    checked = CycleIndex.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        checked(self, *args)
+
+    monkeypatch.setattr(CycleIndex, "__init__", counting)
+    rng = random.Random(29)
+    exprs = list(_every_atom()) + [rand_emptyfree(rng) for _ in range(20)] + [
+        sp.Cartesian(sp.C(), sp.Subst(sp.E(), sp.Eplus())),
+        sp.Derivative(sp.Restrict(sp.Subst(sp.C(), sp.Lplus()), 4)),
+        sp.Point(sp.AProd(sp.Point(sp.Lplus()), sp.NonEmpty(sp.Derivative(sp.S())))),
+    ]
+    for expr in exprs:
+        sp.eval_zi(expr, 6)
+        sp.type_counts(expr, 6)
+    assert calls == []
+    CycleIndex(2, {(1,): 1})
+    assert calls == [(2, {(1,): 1})]
+
+
+def test_outside_indices_are_checked_by_the_new_kernels():
+    with pytest.raises(DomainError, match="derivative of an index needs weight bound >= 1"):
+        zi.zi_deriv(zi.zi_atom("E", 0))
+    assert zi.zi_deriv(zi.zi_atom("E", 1)) == CycleIndex(0, {(): 1})
+    with pytest.raises(DomainError, match="order 5 exceeds weight bound 4"):
+        zi.type_series(zi.zi_atom("E", 4), 5)
+    assert zi.type_series(zi.zi_atom("E", 4), 3) == (1, 1, 1, 1)
