@@ -391,7 +391,9 @@ def cmd_check(expr_text: str, n: int) -> dict:
     return _record("check", to_source(prog.ast), n, {"rows": rows, "all_match": all_match})
 
 
-def cmd_table(kind: str, n: int, k: int = 2, m: int = 2, tol: float | Decimal = 1e-6) -> dict:
+def cmd_table(
+    kind: str, n: int, k: int = 2, m: int = 2, tol: float | Decimal = Decimal("1e-6")
+) -> dict:
     payload_rows = []
     # Rectangles are the arithmetic square of Ep, k-rectangles its k-th power.
     if kind in ("rect", "krect"):
@@ -610,32 +612,29 @@ def _tolerance(text: str) -> float | Decimal:
 _tolerance.__name__ = "float"  # argparse names the type in its error: invalid float value
 
 _EXPR_COMMANDS = ("counts", "types", "zindex", "dirichlet", "check", "enumerate")
-_FORMATS = ("json", "csv", "plain")
 _TABLE_KINDS = ("rect", "krect", "prect", "mnr", "pittel")
-# each command's options: the type argparse converts a value with, and the default
-_OPTIONS = {"--n": (int, None), "--format": (str, "plain"), "--out": (str, None)}
-_TABLE_OPTIONS = {**_OPTIONS, "--k": (int, 2), "--m": (int, 2), "--tol": (_tolerance, 1e-6)}
+# Each command's options, as declared to argparse; ``_plain_args`` reads the
+# same type, choices, default and required.
+_OPTIONS = {
+    "--n": {"type": int, "required": True, "help": "truncation order"},
+    "--format": {"type": str, "choices": ("json", "csv", "plain"), "default": "plain"},
+    "--out": {"type": str, "help": "write the record to this file instead of stdout"},
+}
+_TABLE_OPTIONS = {**_OPTIONS, "--k": {"type": int, "default": 2}, "--m": {"type": int, "default": 2},
+                  "--tol": {"type": _tolerance, "default": Decimal("1e-6")}}
 
 
 def _build_argparser():
     ap = argparse.ArgumentParser(prog="specalc", description="exact species calculator")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_expr=True):
-        if needs_expr:
+    for command in _EXPR_COMMANDS + ("table",):
+        p = sub.add_parser(command)
+        if command == "table":
+            p.add_argument("kind", choices=_TABLE_KINDS)
+        else:
             p.add_argument("expr", help="species expression")
-        p.add_argument("--n", type=int, required=True, help="truncation order")
-        p.add_argument("--format", choices=_FORMATS, default="plain")
-        p.add_argument("--out", help="write the record to this file instead of stdout")
-
-    for name in _EXPR_COMMANDS:
-        common(sub.add_parser(name))
-    pt = sub.add_parser("table")
-    pt.add_argument("kind", choices=_TABLE_KINDS)
-    common(pt, needs_expr=False)
-    for name in ("--k", "--m", "--tol"):
-        kind, default = _TABLE_OPTIONS[name]
-        pt.add_argument(name, type=kind, default=default)
+        for name, declared in (_TABLE_OPTIONS if command == "table" else _OPTIONS).items():
+            p.add_argument(name, **declared)
     return ap
 
 
@@ -645,9 +644,9 @@ def _plain_args(argv):
 
     Each name must be an exact option of the command, and neither the
     positional nor a value may start with ``-``.  A value or choice argparse
-    would reject and a missing ``--n`` give None too, so argparse alone
-    words help and usage errors.  Building the parser costs a cold process
-    more than most requests' arithmetic.
+    would reject and a missing required option give None too, so argparse
+    alone words help and usage errors.  Building the parser costs a cold
+    process more than most requests' arithmetic.
     """
     if len(argv) < 4 or len(argv) % 2:
         return None
@@ -658,18 +657,20 @@ def _plain_args(argv):
         options, args = _OPTIONS, {"command": command, "expr": positional}
     else:
         return None
-    args.update((name[2:], default) for name, (_, default) in options.items())
+    args.update((name[2:], declared.get("default")) for name, declared in options.items())
     for name, value in zip(argv[2::2], argv[3::2]):
-        if name not in options or value.startswith("-"):
+        declared = options.get(name)
+        if declared is None or value.startswith("-"):
             return None
         try:
-            value = options[name][0](value)
+            value = declared["type"](value)
         except ValueError:
             return None
-        if name == "--format" and value not in _FORMATS:
+        if "choices" in declared and value not in declared["choices"]:
             return None
         args[name[2:]] = value
-    return argparse.Namespace(**args) if args["n"] is not None else None
+    required = [name[2:] for name, declared in options.items() if declared.get("required")]
+    return None if any(args[key] is None for key in required) else argparse.Namespace(**args)
 
 
 def main(argv=None) -> int:

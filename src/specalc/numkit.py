@@ -18,11 +18,19 @@ The count kernels at the end take labelled count sequences |F[0]|, |F[1]|,
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
 
 from .errors import CompositionError, DomainError, ZeroConstantRequired
+
+
+def exact(value):
+    """value unchanged if it is an int or a Fraction; DomainError for any other (float, str, bool)."""
+    if type(value) is int or isinstance(value, Fraction):
+        return value
+    raise DomainError(f"{value!r} is not an exact number: need an int or a Fraction")
 
 
 def factorial(n: int) -> int:

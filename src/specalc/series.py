@@ -33,7 +33,7 @@ class TruncSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(Fraction(nk.exact(c)) for c in coeffs)
         if not cs:
             raise DomainError("a truncated series needs at least its constant coefficient")
         self.coeffs = cs
@@ -41,7 +41,7 @@ class TruncSeries:
     @classmethod
     def from_counts(cls, counts):
         """Series whose labelled count at n is counts[n], i.e. c_n = counts[n]/n!."""
-        return cls(Fraction(c) / nk.factorial(n) for n, c in enumerate(counts))
+        return cls(Fraction(nk.exact(c), nk.factorial(n)) for n, c in enumerate(counts))
 
     @classmethod
     def zero(cls, order):
@@ -105,7 +105,7 @@ class TruncSeries:
         if isinstance(other, TruncSeries):
             n = min(self.order, other.order)
             return TruncSeries(_mul_trunc(self.coeffs, other.coeffs, n))
-        q = Fraction(other)
+        q = nk.exact(other)
         return TruncSeries(c * q for c in self.coeffs)
 
     __rmul__ = __mul__
@@ -181,7 +181,7 @@ def geom_power(period: int, exponent, order: int) -> TruncSeries:
     """(1 - x^period)^(-exponent) truncated, for rational exponent."""
     if period < 1:
         raise DomainError(f"period must be >= 1, got {period}")
-    lam = Fraction(exponent)
+    lam = Fraction(nk.exact(exponent))
     cs = [_ZERO] * (order + 1)
     cs[0] = _ONE
     term = _ONE
@@ -263,7 +263,7 @@ class DirichletCoeffs:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = tuple(Fraction(t) for t in terms)
+        self.terms = tuple(Fraction(nk.exact(t)) for t in terms)
 
     @property
     def order(self):
@@ -313,7 +313,7 @@ class ShiftedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(Fraction(nk.exact(c)) for c in coeffs)
         if not cs:
             raise DomainError("a shifted series needs at least the (1+x)^0 coefficient")
         self.coeffs = cs

@@ -22,23 +22,24 @@ with one exact division, fix = N aut(lam)/|lam|!, and works at the
 smaller of its operands' bounds.  ``type_series`` is the Burnside sum:
 the N of the types of weight n added up and divided by n!.
 
-The kernels grade their operands by weight, computing each term's weight
-once, and walk the weight buckets in ascending order: the product stops
-at the first pair of buckets with wa + wb above the bound, the
-arithmetic product at the first with wb * wg above it, so no pair of
-terms that cannot survive the truncation is formed.  Plethysm builds the
-substituted power-sum product p_lam[q] of each partition from that of
-lam with one largest part removed (ibid., section 4.3), so each distinct
-partition costs one truncated product, within ``ZI_PLETHYSM_PAIRS``.
-``ogf_plethysm`` walks the same partitions on integer type series: it
-substitutes g(x^i) for x_i and never forms the multivariate result.
+The product and the arithmetic product share one walk, ``_pair_walk``,
+which grades both operands by weight (each term's weight computed once)
+and stops at the first pair of weight buckets with wa + wb, or wb * wg,
+above the bound, so no pair of terms that cannot survive the truncation
+is formed.  Plethysm builds the substituted power-sum product p_lam[q]
+of each partition from that of lam with one largest part removed (ibid.,
+section 4.3), so each distinct partition costs one truncated product,
+within ``ZI_PLETHYSM_PAIRS``.  ``ogf_plethysm`` walks the same partitions
+on integer type series: it substitutes g(x^i) for x_i, never forms the
+multivariate result, and leaves its one exact division to ``type_ints``.
 Both take their products from one memoised walk, ``_power_walk``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import add, mul
 
 from . import numkit as nk
 from .errors import CompositionError, DomainError, ScaleLimit, UnknownAtom, ZeroConstantRequired
@@ -55,8 +56,7 @@ class CycleIndex:
     def __init__(self, bound, fix=None):
         if bound < 0:
             raise DomainError(f"weight bound must be >= 0, got {bound}")
-        checked = {_key(lam, bound): v if type(v) is int else Fraction(v)
-                   for lam, v in (fix or {}).items()}
+        checked = {_key(lam, bound): nk.exact(v) for lam, v in (fix or {}).items()}
         self.bound, self.fix = bound, _of(bound, checked).fix
 
     def fix_value(self, lam):
@@ -264,21 +264,28 @@ def _unscaled(bound, scaled, den=1):
     return _of(bound, fix)
 
 
-def _mono_mul(a, b, bound):
-    """Product of two {partition: N} polynomials in the n!-scaled basis, truncated at weight bound."""
+def _pair_walk(a, b, bound, weigh, placements, join):
+    """placements(w, wa) N(la) N(lb) summed at join(la, lb) over the term pairs of two
+    {partition: N} dicts with w = weigh(wa, wb) at most bound; zero sums are dropped."""
     out = {}
     graded_b = _graded(b)
     for wa, terms_a in _graded(a):
         for wb, terms_b in graded_b:
-            if wa + wb > bound:
+            w = weigh(wa, wb)
+            if w > bound:
                 break
-            binom = nk.binomial(wa + wb, wa)
+            count = placements(w, wa)
             for la, na in terms_a:
-                na *= binom
+                na *= count
                 for lb, nb in terms_b:
-                    key = _add_mult(la, lb)
+                    key = join(la, lb)
                     out[key] = out.get(key, 0) + na * nb
     return {k: v for k, v in out.items() if v}
+
+
+def _mono_mul(a, b, bound):
+    """Product of two {partition: N} polynomials in the n!-scaled basis, truncated at weight bound."""
+    return _pair_walk(a, b, bound, add, nk.binomial, _add_mult)
 
 
 def zi_mul(p: CycleIndex, q: CycleIndex) -> CycleIndex:
@@ -370,9 +377,8 @@ def ogf_plethysm(p: CycleIndex, g) -> tuple[int, ...]:
     G's type series.  The power g(x)^m_1 g(x^2)^m_2 ... of each partition
     is that of the partition with one largest part i removed, times
     g(x^i), as in ``zi_plethysm``.  Since aut(lam) divides |lam|!, the sum
-    of fix/aut times the powers is taken over the common denominator
-    bound! (times the fix-values' denominators), with one exact division at
-    the end.
+    of fix (bound!/aut) times the powers is bound! times the type series,
+    and ``type_ints`` makes the one exact division.
     """
     bound = p.bound
     if len(g) <= bound:
@@ -385,13 +391,12 @@ def ogf_plethysm(p: CycleIndex, g) -> tuple[int, ...]:
         scaled[i][i::i] = g[1 : bound // i + 1]
     substituted = _power_walk((1,) + (0,) * bound, ogf_mul, scaled.__getitem__)
     fact = nk.factorial(bound)
-    den = lcm(*(v.denominator for v in p.fix.values()))
     acc = [0] * (bound + 1)
     for lam, v in p.fix.items():
-        c = fact // nk.aut(lam) * v.numerator * (den // v.denominator)
+        c = v * (fact // nk.aut(lam))
         for n, t in enumerate(substituted(lam)):
             acc[n] += c * t
-    return type_ints(acc, [fact * den] * (bound + 1))
+    return type_ints(acc, [fact] * (bound + 1))
 
 
 def type_ints(totals, dens) -> tuple[int, ...]:
@@ -431,19 +436,8 @@ def zi_aprod(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     if () in p.fix or () in q.fix:
         raise ZeroConstantRequired("arithmetic product of index series needs no weight-0 term")
     bound = min(p.bound, q.bound)
-    graded_q = _graded(_scaled(q.fix, bound))
-    acc = {}
-    for wb, terms_b in _graded(_scaled(p.fix, bound)):
-        for wg, terms_g in graded_q:
-            if wb * wg > bound:
-                break
-            rect = nk.rect_coeff(wb * wg, wb)
-            for lb, nb in terms_b:
-                nb *= rect
-                for lg, ng in terms_g:
-                    alpha = box_type(lb, lg)
-                    acc[alpha] = acc.get(alpha, 0) + nb * ng
-    return _unscaled(bound, acc)
+    a, b = _scaled(p.fix, bound), _scaled(q.fix, bound)
+    return _unscaled(bound, _pair_walk(a, b, bound, mul, nk.rect_coeff, box_type))
 
 
 def zi_to_egf(p: CycleIndex, order: int) -> TruncSeries:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -337,6 +338,19 @@ def test_mnr_table_past_the_cell_limit_exits_4(capsys):
     assert "scale limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "expr_text, err",
+    [
+        ("deriv(aprod(Ep, Ep))", "rectangles on 9 labels exceeds limit 8"),
+        ("deriv(deriv(deriv(comp(E, Ep))))", "partitions of 11 labels exceeds limit 10"),
+    ],
+)
+def test_check_past_the_oracle_limits_under_deriv_exits_4(expr_text, err, capsys):
+    # the derivative adds a label, so the oracle meets more labels than --n
+    assert main(["check", expr_text, "--n", "8"]) == 4
+    assert capsys.readouterr() == ("", f"scale limit: {err}\n")
+
+
 @pytest.mark.parametrize("m, n", [("0", "10" * 15), ("10" * 15, "0")])
 def test_mnr_table_with_a_zero_dimension_is_one_row_fast(m, n, capsys):
     start = time.perf_counter()
@@ -524,6 +538,14 @@ def test_pittel_tolerance_is_read_exactly(capsys):
         assert main(["table", "pittel", "--k", "2", "--n", "2", "--tol", tol]) == 3
         err = capsys.readouterr().err
         assert err == f"error: tolerance must be finite and positive, got {shown}\n"
+
+
+def test_omitted_tolerance_is_exactly_1e_minus_6():
+    argv = ["table", "pittel", "--n", "3"]
+    for args in (dslcli._plain_args(argv), dslcli._build_argparser().parse_args(argv)):
+        assert type(args.tol) is Decimal
+        assert args.tol == dslcli._tolerance("1e-6")
+    assert cmd_table("pittel", 3) == cmd_table("pittel", 3, tol=dslcli._tolerance("1e-6"))
 
 
 def test_pittel_tolerance_float_rejects_is_a_usage_error(capsys):

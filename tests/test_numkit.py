@@ -1,9 +1,42 @@
 import itertools
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from specalc import numkit as nk
+from specalc import series as se
+from specalc import zindex as zi
 from specalc.errors import DomainError
+
+
+def test_exact_passes_ints_and_fractions_unchanged():
+    for value in (0, -3, 10 ** 40, Fraction(1, 3), Fraction(4, 2)):
+        assert nk.exact(value) is value
+    for value in (0.5, "1", Decimal(1), True, None, 1j):
+        with pytest.raises(DomainError):
+            nk.exact(value)
+
+
+# Every door that turns a caller's value into a stored coefficient.
+_DOORS = {
+    "CycleIndex": lambda v: zi.CycleIndex(1, {(1,): v}),
+    "TruncSeries": lambda v: se.TruncSeries([0, v]),
+    "TruncSeries.from_counts": lambda v: se.TruncSeries.from_counts([0, v]),
+    "TruncSeries.__mul__": lambda v: se.TruncSeries([0, 1]) * v,
+    "TruncSeries.__rmul__": lambda v: v * se.TruncSeries([0, 1]),
+    "geom_power": lambda v: se.geom_power(2, v, 4),
+    "DirichletCoeffs": lambda v: se.DirichletCoeffs([v]),
+    "ShiftedSeries": lambda v: se.ShiftedSeries([v]),
+}
+
+
+@pytest.mark.parametrize("door", list(_DOORS))
+@pytest.mark.parametrize("value", [0.1, "1/3"])
+def test_coefficient_doors_reject_floats_and_strings(door, value):
+    with pytest.raises(DomainError):
+        _DOORS[door](value)
+    _DOORS[door](Fraction(1, 3))  # the exact value passes
 
 
 def test_factorial():

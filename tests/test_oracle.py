@@ -623,3 +623,18 @@ def test_necklace_periods_and_lyndon():
             )
             assert len(aper) == nk.lyndon_count(n, alpha) * nk.factorial(n)
             assert set(aper) <= set(neck)
+
+
+def test_oracle_rejects_repeated_labels_and_maps_that_are_not_permutations():
+    with pytest.raises(DomainError, match="labels must be distinct"):
+        oracle.enumerate_structures(sp.E(), [1, 1])
+    with pytest.raises(DomainMismatch, match="mapping is not injective"):
+        oracle.transport(("set", (1, 2)), {1: 3, 2: 3})
+    with pytest.raises(DomainMismatch, match="sigma is not a permutation of its domain"):
+        oracle.fix_count(sp.E(), {1: 2, 2: 2})
+
+
+def test_fix_count_past_the_oracle_limit_is_a_scale_limit():
+    nine_cycle = {i: i % 9 + 1 for i in range(1, 10)}
+    with pytest.raises(ScaleLimit, match="fix count on 9 labels exceeds limit 8"):
+        oracle.fix_count(sp.E(), nine_cycle)
