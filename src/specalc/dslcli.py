@@ -279,7 +279,7 @@ def _max_n(kind: str) -> int:
 
 def _check_order(n: int, kind: str = "series"):
     cap = _max_n(kind)
-    sp._check_order(n)
+    nk.check_order(n)
     if n > cap:
         raise DomainError(f"order {n} exceeds the configured maximum {cap}")
 

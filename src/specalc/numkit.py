@@ -33,6 +33,12 @@ def exact(value):
     raise DomainError(f"{value!r} is not an exact number: need an int or a Fraction")
 
 
+def check_order(order: int) -> None:
+    """DomainError for a negative truncation order: the one order check of the package."""
+    if order < 0:
+        raise DomainError(f"order must be nonnegative, got {order}")
+
+
 def factorial(n: int) -> int:
     """n! for n >= 0."""
     if n < 0:

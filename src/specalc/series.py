@@ -7,10 +7,11 @@ only at the named accessors.  Arithmetic between series of different
 orders truncates to the smaller order.
 
 Besides the ring operations this module provides composition, the
-Hadamard product (count-wise), the arithmetic product of series, the
-Lambert transform, Dirichlet coefficients with their convolution, and the
-(1+x)-basis machinery that gives the fast route to the modified
-arithmetic product.
+Hadamard product (count-wise), the arithmetic product of series, which is
+the Dirichlet product of the raw coefficients (the Lambert transform is
+the case F boxed with L+), the Dirichlet coefficients of a series, and
+the (1+x)-basis route to the modified arithmetic product.  A negative
+order is a ``DomainError`` wherever an order is given.
 
 These ``Fraction`` kernels are the independent route the tests check the
 integer count kernels of ``numkit`` against.
@@ -45,10 +46,12 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, order):
+        nk.check_order(order)
         return cls([_ZERO] * (order + 1))
 
     @classmethod
     def one(cls, order):
+        nk.check_order(order)
         return cls([_ONE] + [_ZERO] * order)
 
     @classmethod
@@ -60,11 +63,13 @@ class TruncSeries:
     @classmethod
     def geometric(cls, order):
         """1/(1-x) truncated: all coefficients 1."""
+        nk.check_order(order)
         return cls([_ONE] * (order + 1))
 
     @classmethod
     def one_plus_x_pow(cls, n, order):
         """(1+x)^n truncated."""
+        nk.check_order(order)
         return cls(Fraction(nk.binomial(n, k)) for k in range(order + 1))
 
     @property
@@ -79,6 +84,7 @@ class TruncSeries:
         return [c * nk.factorial(n) for n, c in enumerate(self.coeffs)]
 
     def truncate(self, order):
+        nk.check_order(order)
         if order > self.order:
             raise DomainError(f"cannot extend order {self.order} series to {order}")
         return TruncSeries(self.coeffs[: order + 1])
@@ -95,11 +101,13 @@ class TruncSeries:
         return TruncSeries(-c for c in self.coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         return TruncSeries(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + -other if isinstance(other, TruncSeries) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
@@ -150,6 +158,7 @@ def hadamard(f: TruncSeries, g: TruncSeries) -> TruncSeries:
 
 def expm1_series(order: int) -> TruncSeries:
     """e^x - 1 truncated."""
+    nk.check_order(order)
     return TruncSeries(
         [_ZERO] + [Fraction(1, nk.factorial(k)) for k in range(1, order + 1)]
     )
@@ -157,6 +166,7 @@ def expm1_series(order: int) -> TruncSeries:
 
 def log1p_series(order: int) -> TruncSeries:
     """ln(1+x) truncated."""
+    nk.check_order(order)
     return TruncSeries(
         [_ZERO] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
     )
@@ -181,6 +191,7 @@ def geom_power(period: int, exponent, order: int) -> TruncSeries:
     """(1 - x^period)^(-exponent) truncated, for rational exponent."""
     if period < 1:
         raise DomainError(f"period must be >= 1, got {period}")
+    nk.check_order(order)
     lam = Fraction(nk.exact(exponent))
     cs = [_ZERO] * (order + 1)
     cs[0] = _ONE
@@ -199,149 +210,40 @@ def _require_zero_constant(f):
 
 
 def aprod_egf(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """Arithmetic product in the exponential role.
+    """Arithmetic product: the Dirichlet product c_n = sum over d | n of f_d g_(n/d).
 
-    Count at n is the divisor sum of rect_coeff(n, d) * f.count(d) * g.count(n/d).
+    On raw coefficients the roles agree.  In the exponential role this is
+    the paper's identity: the count at n is the divisor sum of
+    n!/(d! (n/d)!) * f.count(d) * g.count(n/d).  In the ordinary role x^d
+    boxed with x^e is x^(de), and boxing with L+ = sum of x^n is the
+    Lambert transform sum of f_d x^d/(1 - x^d).
     """
     _require_zero_constant(f)
     _require_zero_constant(g)
     n = min(f.order, g.order)
-    counts = [_ZERO] * (n + 1)
-    fc = f.counts()
-    gc = g.counts()
-    for m in range(1, n + 1):
-        s = _ZERO
-        for d in nk.divisors(m):
-            a, b = fc[d], gc[m // d]
-            if a and b:
-                s += nk.rect_coeff(m, d) * a * b
-        counts[m] = s
-    return TruncSeries.from_counts(counts)
-
-
-def aprod_ogf(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """Arithmetic product in the ordinary role: plain divisor convolution.
-
-    x^n boxed with x^m is x^(nm), so [x^n] of the result is
-    sum over d | n of f[d] * g[n/d].  (On raw coefficients this is the
-    same convolution the exponential version reduces to; the two entry
-    points exist because call sites read their inputs in different roles.)
-    """
-    _require_zero_constant(f)
-    _require_zero_constant(g)
-    n = min(f.order, g.order)
+    a, b = f.coeffs, g.coeffs
     out = [_ZERO] * (n + 1)
-    for m in range(1, n + 1):
-        s = _ZERO
-        for d in nk.divisors(m):
-            a, b = f.coeffs[d], g.coeffs[m // d]
-            if a and b:
-                s += a * b
-        out[m] = s
+    for d in range(1, n + 1):
+        if a[d]:
+            for e in range(1, n // d + 1):
+                if b[e]:
+                    out[d * e] += a[d] * b[e]
     return TruncSeries(out)
 
 
-def lambert(f: TruncSeries) -> TruncSeries:
-    """Lambert transform sum_n c_n x^n/(1-x^n), by direct divisor sums."""
-    _require_zero_constant(f)
-    n = f.order
-    out = [_ZERO] * (n + 1)
-    for m in range(1, n + 1):
-        out[m] = sum((f.coeffs[d] for d in nk.divisors(m)), _ZERO)
-    return TruncSeries(out)
+def dirichlet_of(f: TruncSeries) -> tuple[Fraction, ...]:
+    """Dirichlet coefficients c_1..c_N of an exponential series, term n at index n - 1.
 
-
-# -- Dirichlet coefficients ----------------------------------------------------
-
-class DirichletCoeffs:
-    """Coefficients a_1/1!, ..., a_N/N! of a modified Dirichlet series.
-
-    ``terms[k]`` is the coefficient of (k+1)^(-s); indices are 1-based
-    through :meth:`term`.
+    Term n is |F[n]|/n!; ``aprod_egf`` multiplies these series.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = tuple(Fraction(nk.exact(t)) for t in terms)
-
-    @property
-    def order(self):
-        return len(self.terms)
-
-    def term(self, n):
-        if not 1 <= n <= self.order:
-            raise DomainError(f"Dirichlet term index {n} out of range 1..{self.order}")
-        return self.terms[n - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, DirichletCoeffs):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return DirichletCoeffs(self.terms[k] + other.terms[k] for k in range(n))
-
-    def __repr__(self):
-        return f"DirichletCoeffs{self.terms[:6]}"
-
-
-def dirichlet_of(f: TruncSeries) -> DirichletCoeffs:
-    """Dirichlet coefficients of an exponential series: term n is |F[n]|/n! = c_n."""
     _require_zero_constant(f)
-    return DirichletCoeffs(f.coeffs[1:])
-
-
-def dirichlet_mul(a: DirichletCoeffs, b: DirichletCoeffs) -> DirichletCoeffs:
-    """Dirichlet convolution (a*b)_n = sum over d | n of a_d b_(n/d)."""
-    n = min(a.order, b.order)
-    out = []
-    for m in range(1, n + 1):
-        out.append(sum((a.term(d) * b.term(m // d) for d in nk.divisors(m)), _ZERO))
-    return DirichletCoeffs(out)
+    return f.coeffs[1:]
 
 
 # -- the (1+x) basis and the modified arithmetic product ------------------------
 
-class ShiftedSeries:
-    """Polynomial written in the basis (1+x)^j: sum of b_j (1+x)^j."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = tuple(Fraction(nk.exact(c)) for c in coeffs)
-        if not cs:
-            raise DomainError("a shifted series needs at least the (1+x)^0 coefficient")
-        self.coeffs = cs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, ShiftedSeries):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        pad = lambda t: t + (_ZERO,) * (n - len(t))
-        return pad(a) == pad(b)
-
-    def __hash__(self):
-        cs = list(self.coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return hash(tuple(cs))
-
-    def __repr__(self):
-        return f"ShiftedSeries{self.coeffs[:6]}"
-
-
-def to_shifted(f: TruncSeries) -> ShiftedSeries:
-    """Rewrite sum c_j x^j exactly as sum b_i (1+x)^i via x = (1+x) - 1."""
+def to_shifted(f: TruncSeries) -> TruncSeries:
+    """Rewrite sum c_j x^j exactly as sum b_i (1+x)^i via x = (1+x) - 1; coefficient i is b_i."""
     n = f.order
     out = []
     for i in range(n + 1):
@@ -350,25 +252,28 @@ def to_shifted(f: TruncSeries) -> ShiftedSeries:
             if f.coeffs[j]:
                 b += f.coeffs[j] * nk.binomial(j, i) * (-1) ** (j - i)
         out.append(b)
-    return ShiftedSeries(out)
+    return TruncSeries(out)
 
 
-def from_shifted(s: ShiftedSeries, order: int | None = None) -> TruncSeries:
+def from_shifted(s: TruncSeries, order: int | None = None) -> TruncSeries:
     """Expand sum b_i (1+x)^i back into powers of x, up to the given order."""
     if order is None:
-        order = s.degree
+        order = s.order
     out = []
     for j in range(order + 1):
         c = _ZERO
-        for i in range(j, s.degree + 1):
+        for i in range(j, s.order + 1):
             if s.coeffs[i]:
                 c += s.coeffs[i] * nk.binomial(i, j)
         out.append(c)
     return TruncSeries(out)
 
 
-def maprod_shifted(s: ShiftedSeries, t: ShiftedSeries) -> ShiftedSeries:
-    """Modified arithmetic product in the (1+x) basis: exponents multiply."""
+def maprod_shifted(s: TruncSeries, t: TruncSeries) -> TruncSeries:
+    """Modified arithmetic product in the (1+x) basis: exponents multiply.
+
+    The result ends at the largest i*j with b_i and c_j both nonzero.
+    """
     acc = {}
     for i, bi in enumerate(s.coeffs):
         if not bi:
@@ -378,7 +283,7 @@ def maprod_shifted(s: ShiftedSeries, t: ShiftedSeries) -> ShiftedSeries:
                 k = i * j
                 acc[k] = acc.get(k, _ZERO) + bi * cj
     deg = max(acc, default=0)
-    return ShiftedSeries([acc.get(k, _ZERO) for k in range(deg + 1)])
+    return TruncSeries([acc.get(k, _ZERO) for k in range(deg + 1)])
 
 
 def maprod_egf(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:

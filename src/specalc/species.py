@@ -314,11 +314,6 @@ def validate(expr: SpeciesExpr) -> SpeciesExpr:
     return rec(expr, ())
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise DomainError(f"order must be nonnegative, got {order}")
-
-
 # -- one rule row per node kind -------------------------------------------------
 
 # One row per composite node kind: its labelled-count rule on the operands'
@@ -377,13 +372,13 @@ def _egf(expr: SpeciesExpr, order: int) -> TruncSeries:
 
 def eval_egf(expr: SpeciesExpr, order: int) -> TruncSeries:
     """Exponential generating series of the expression, exact to the order."""
-    _check_order(order)
+    nk.check_order(order)
     return _egf(validate(expr), order)
 
 
 def eval_counts(expr: SpeciesExpr, order: int) -> list[int]:
     """Labelled counts |F[0]| .. |F[order]|."""
-    _check_order(order)
+    nk.check_order(order)
     out = list(_counts(validate(expr), order))
     for n, v in enumerate(out):
         if v < 0:
@@ -395,7 +390,7 @@ def eval_counts(expr: SpeciesExpr, order: int) -> list[int]:
 
 def eval_zi(expr: SpeciesExpr, bound: int) -> zi.CycleIndex:
     """Cycle index of the expression, exact to the weight bound."""
-    _check_order(bound)
+    nk.check_order(bound)
     return _zi(validate(expr), bound, ())
 
 
@@ -431,7 +426,7 @@ def eval_ogf(expr: SpeciesExpr, order: int) -> TruncSeries:
 
 def type_counts(expr: SpeciesExpr, order: int) -> list[int]:
     """Unlabelled counts on integer type series, asserting integrality."""
-    _check_order(order)
+    nk.check_order(order)
     return list(_types(validate(expr), order, ()))
 
 
@@ -487,7 +482,7 @@ def euler_reconstruct(prime_power_counts, order: int) -> list[int]:
 
     ``prime_power_counts`` maps (p, a) to |M[p^a]|; |M[1]| = 1 is implied.
     """
-    _check_order(order)
+    nk.check_order(order)
     out = [0] * (order + 1)
     if order >= 1:
         out[1] = 1
@@ -548,7 +543,7 @@ def pr_k_exact(k: int, order: int) -> list[int]:
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    _check_order(order)
+    nk.check_order(order)
     out = nk.stirling1_transform([b ** k for b in nk.bell_numbers(order)])
     assert all(v >= 0 for v in out)
     return out

@@ -96,7 +96,7 @@ def test_criterion_04_cycle_index_theorem():
             for lam in nk.int_partitions(w):
                 ok = ok and prod.fix_value(lam) == oracle.fix_by_type(expr, lam)
         ok = ok and zi.zi_to_egf(prod, 10) == se.aprod_egf(zi.zi_to_egf(za, 10), zi.zi_to_egf(zb, 10))
-        ok = ok and zi.zi_to_ogf(prod, 10) == se.aprod_ogf(zi.zi_to_ogf(za, 10), zi.zi_to_ogf(zb, 10))
+        ok = ok and zi.zi_to_ogf(prod, 10) == se.aprod_egf(zi.zi_to_ogf(za, 10), zi.zi_to_ogf(zb, 10))
     assert report(4, "index-series product = oracle Fix, specializations commute, exact", ok)
 
 

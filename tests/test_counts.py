@@ -155,6 +155,24 @@ def test_counts_kernels_and_oracle_agree_on_drawn_trees(tree, order):
             assert len(oracle.enumerate_structures(tree, range(1, n + 1))) == counts[n], n
 
 
+@st.composite
+def _count_pairs(draw):
+    """Two integer count sequences of one length 1..25, each with a zero constant term."""
+    order = draw(st.integers(0, 24))
+    seq = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=order, max_size=order)
+    return (0, *draw(seq)), (0, *draw(seq))
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(_count_pairs())
+def test_aprod_counts_is_the_dirichlet_product_of_raw_coefficients(pair):
+    # the paper's identity: the rectangle divisor sum of counts is the
+    # Dirichlet product of |F[n]|/n!, so this checks rect_coeff independently
+    f, g = pair
+    got = se.aprod_egf(TruncSeries.from_counts(f), TruncSeries.from_counts(g))
+    assert tuple(got.counts()) == nk.aprod_counts(f, g)
+
+
 def test_pr_k_exact_matches_the_log_substitution():
     log1p = se.log1p_series(20)
     for k in (1, 2, 3, 4):

@@ -26,8 +26,6 @@ _DOORS = {
     "TruncSeries.__mul__": lambda v: se.TruncSeries([0, 1]) * v,
     "TruncSeries.__rmul__": lambda v: v * se.TruncSeries([0, 1]),
     "geom_power": lambda v: se.geom_power(2, v, 4),
-    "DirichletCoeffs": lambda v: se.DirichletCoeffs([v]),
-    "ShiftedSeries": lambda v: se.ShiftedSeries([v]),
 }
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -34,6 +35,33 @@ def test_mixed_orders_truncate_to_min():
 
 def test_equality_is_strict_on_order():
     assert F(1, 2) != F(1, 2, 0)
+
+
+def test_sum_and_difference_with_a_number_are_type_errors():
+    s = F(1, 2)
+    for op in (lambda: s + 1, lambda: s - 1, lambda: 1 + s, lambda: 1 - s):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_negative_order_is_rejected_by_every_order_argument():
+    f = F(1, 2, 3)
+    for call in (
+        lambda: TruncSeries.zero(-1),
+        lambda: TruncSeries.one(-1),
+        lambda: TruncSeries.x(-1),
+        lambda: TruncSeries.geometric(-1),
+        lambda: TruncSeries.one_plus_x_pow(2, -1),
+        lambda: f.truncate(-1),
+        lambda: f.truncate(-2),
+        lambda: se.expm1_series(-1),
+        lambda: se.log1p_series(-1),
+        lambda: se.geom_power(1, 1, -1),
+        lambda: se.maprod_egf(f, f, -1),
+        lambda: se.maprod_egf_via_shift(f, f, -1),
+    ):
+        with pytest.raises(DomainError, match="order must be nonnegative, got -"):
+            call()
 
 
 def test_compose_inverse_pair():
@@ -97,33 +125,52 @@ def test_aprod_egf_examples():
 
 
 def test_aprod_ogf_examples():
+    # in the ordinary role x^d boxed with x^e is x^(de)
     ones = TruncSeries.geometric(8) - TruncSeries.one(8)
-    d = se.aprod_ogf(ones, ones)
+    d = se.aprod_egf(ones, ones)
     assert [int(c) for c in d.coeffs] == [0, 1, 2, 2, 3, 2, 4, 2, 4]
     f = rand_series(random.Random(1), 8, zero_const=True)
-    assert se.aprod_ogf(TruncSeries.x(8), f) == f
+    assert se.aprod_egf(TruncSeries.x(8), f) == f
     x2 = TruncSeries([0, 0, 1, 0, 0, 0, 0])
     x3 = TruncSeries([0, 0, 0, 1, 0, 0, 0])
-    assert se.aprod_ogf(x2, x3) == TruncSeries([0, 0, 0, 0, 0, 0, 1])
+    assert se.aprod_egf(x2, x3) == TruncSeries([0, 0, 0, 0, 0, 0, 1])
+
+
+def _rect_count_sum(f, g):
+    """The arithmetic product read off counts: sum over d | n of rect_coeff(n, d) f_d g_(n/d)."""
+    fc, gc = f.counts(), g.counts()
+    n = min(f.order, g.order)
+    return TruncSeries.from_counts([0] + [
+        sum(nk.rect_coeff(m, d) * fc[d] * gc[m // d] for d in nk.divisors(m))
+        for m in range(1, n + 1)
+    ])
 
 
 def test_aprod_conventions_coincide_on_raw_coefficients():
+    # the Dirichlet product of raw coefficients is the rectangle divisor sum of counts
     rng = random.Random(2)
     for _ in range(25):
         f = rand_series(rng, 10, zero_const=True)
         g = rand_series(rng, 10, zero_const=True)
-        assert se.aprod_egf(f, g) == se.aprod_ogf(f, g)
+        assert se.aprod_egf(f, g) == _rect_count_sum(f, g)
+
+
+def _divisor_sums(f):
+    """The Lambert transform sum of f_d x^d/(1 - x^d): coefficient m is the sum over d | m of f_d."""
+    return TruncSeries([0] + [
+        sum((f.coeffs[d] for d in nk.divisors(m)), Fraction(0)) for m in range(1, f.order + 1)
+    ])
 
 
 def test_lambert():
     lp = sp.eval_egf(sp.Lplus(), 10)
-    assert [int(c) for c in se.lambert(lp).coeffs] == [0] + [nk.tau(n) for n in range(1, 11)]
+    assert [int(c) for c in se.aprod_egf(lp, lp).coeffs] == [0] + [nk.tau(n) for n in range(1, 11)]
     pointed = sp.eval_egf(sp.Point(sp.Lplus()), 10)
-    assert [int(c) for c in se.lambert(pointed).coeffs] == [0] + [
+    assert [int(c) for c in se.aprod_egf(pointed, lp).coeffs] == [0] + [
         nk.sigma(n) for n in range(1, 11)
     ]
-    x = TruncSeries.x(6)
-    assert se.lambert(x) == TruncSeries.geometric(6) - TruncSeries.one(6)
+    lp6 = TruncSeries.geometric(6) - TruncSeries.one(6)
+    assert se.aprod_egf(TruncSeries.x(6), lp6) == lp6
 
 
 def test_lambert_is_aprod_with_nonempty_lists():
@@ -131,19 +178,20 @@ def test_lambert_is_aprod_with_nonempty_lists():
     lp = TruncSeries.geometric(20) - TruncSeries.one(20)
     for _ in range(10):
         f = rand_series(rng, 20, zero_const=True)
-        assert se.lambert(f) == se.aprod_egf(f, lp)
+        assert _divisor_sums(f) == se.aprod_egf(f, lp)
 
 
 def test_dirichlet_of_and_mul():
     c = sp.eval_egf(sp.C(), 8)
-    zeta_shift = se.dirichlet_of(c)
-    assert zeta_shift.terms == tuple(Fraction(1, n) for n in range(1, 9))
-    lp = se.dirichlet_of(sp.eval_egf(sp.Lplus(), 8))
-    zeta_sq = se.dirichlet_mul(lp, lp)
-    assert zeta_sq.term(6) == 4
-    assert zeta_sq.terms == tuple(nk.tau(n) for n in range(1, 9))
-    a = se.DirichletCoeffs([5, 7, 11])
-    assert se.dirichlet_mul(a, se.DirichletCoeffs([1, 0, 0])) == a
+    assert se.dirichlet_of(c) == tuple(Fraction(1, n) for n in range(1, 9))
+    lp = sp.eval_egf(sp.Lplus(), 8)
+    zeta_sq = se.dirichlet_of(se.aprod_egf(lp, lp))
+    assert zeta_sq[6 - 1] == 4
+    assert zeta_sq == tuple(nk.tau(n) for n in range(1, 9))
+    a = TruncSeries([0, 5, 7, 11])
+    assert se.aprod_egf(a, TruncSeries([0, 1, 0, 0])) == a
+    with pytest.raises(ZeroConstantRequired):
+        se.dirichlet_of(TruncSeries.one(3))
 
 
 def test_dirichlet_is_ring_homomorphism():
@@ -151,18 +199,20 @@ def test_dirichlet_is_ring_homomorphism():
     for _ in range(30):
         f = rand_series(rng, 20, zero_const=True)
         g = rand_series(rng, 20, zero_const=True)
-        assert se.dirichlet_of(f + g) == se.dirichlet_of(f) + se.dirichlet_of(g)
-        assert se.dirichlet_of(se.aprod_egf(f, g)) == se.dirichlet_mul(
-            se.dirichlet_of(f), se.dirichlet_of(g)
+        df, dg = se.dirichlet_of(f), se.dirichlet_of(g)
+        assert se.dirichlet_of(f + g) == tuple(map(add, df, dg))
+        assert se.dirichlet_of(se.aprod_egf(f, g)) == tuple(
+            sum((df[d - 1] * dg[m // d - 1] for d in nk.divisors(m)), Fraction(0))
+            for m in range(1, 21)
         )
 
 
 def test_shifted_basis():
     x = TruncSeries.x(1)
-    assert se.to_shifted(x) == se.ShiftedSeries([-1, 1])
+    assert se.to_shifted(x) == TruncSeries([-1, 1])
     x2 = TruncSeries([0, 0, 1])
-    assert se.to_shifted(x2) == se.ShiftedSeries([1, -2, 1])
-    s6 = se.ShiftedSeries([0, 0, 0, 0, 0, 0, 1])
+    assert se.to_shifted(x2) == TruncSeries([1, -2, 1])
+    s6 = TruncSeries([0, 0, 0, 0, 0, 0, 1])
     assert se.from_shifted(s6).coeffs[2] == 15
 
 
@@ -174,11 +224,11 @@ def test_shifted_roundtrip():
 
 
 def test_maprod_shifted():
-    two = se.ShiftedSeries([0, 0, 1])
-    three = se.ShiftedSeries([0, 0, 0, 1])
-    assert se.maprod_shifted(two, three) == se.ShiftedSeries([0, 0, 0, 0, 0, 0, 1])
-    ident = se.ShiftedSeries([0, 1])
-    s = se.ShiftedSeries([Fraction(1, 2), -3, 0, 5])
+    two = TruncSeries([0, 0, 1])
+    three = TruncSeries([0, 0, 0, 1])
+    assert se.maprod_shifted(two, three) == TruncSeries([0, 0, 0, 0, 0, 0, 1])
+    ident = TruncSeries([0, 1])
+    s = TruncSeries([Fraction(1, 2), -3, 0, 5])
     assert se.maprod_shifted(s, ident) == s
 
 
@@ -226,7 +276,7 @@ def test_maprod_polynomials_exact_before_truncation():
     f = TruncSeries([1, 2, 3, 0, 0, 0, 0])
     g = TruncSeries([0, 1, 0, -1, 0, 0, 0])
     s = se.maprod_shifted(se.to_shifted(f), se.to_shifted(g))
-    assert s.degree <= 6
+    assert s.order <= 6
     assert se.from_shifted(s, 6) == se.maprod_egf(f, g, 6)
 
 

@@ -232,7 +232,7 @@ def test_specializations_commute_with_aprod():
         pa, pb = sp.eval_zi(ea, 10), sp.eval_zi(eb, 10)
         prod = zi.zi_aprod(pa, pb)
         assert zi.zi_to_egf(prod, 10) == se.aprod_egf(zi.zi_to_egf(pa, 10), zi.zi_to_egf(pb, 10))
-        assert zi.zi_to_ogf(prod, 10) == se.aprod_ogf(zi.zi_to_ogf(pa, 10), zi.zi_to_ogf(pb, 10))
+        assert zi.zi_to_ogf(prod, 10) == se.aprod_egf(zi.zi_to_ogf(pa, 10), zi.zi_to_ogf(pb, 10))
 
 
 def _random_sparse(rng, bound):
