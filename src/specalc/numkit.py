@@ -125,26 +125,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def bell_numbers(n: int) -> tuple[int, ...]:
-    """Bell numbers B_0 .. B_n, the first entries of the Bell triangle's rows."""
-    if n < 0:
-        raise DomainError(f"Bell number of negative index {n}")
-    out, row = [1], [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-        out.append(row[0])
-    return tuple(out)
-
-
-def bell(n: int) -> int:
-    """Number of set partitions of an n-set."""
-    return bell_numbers(n)[n]
-
-
 def stirling1_table(n: int) -> list[list[int]]:
     """Signed Stirling numbers of the first kind: row m holds s(m, 0..m), m = 0..n."""
     rows = [[1]]
@@ -163,6 +143,18 @@ def stirling2_table(n: int) -> list[list[int]]:
     return rows
 
 
+def bell_numbers(n: int) -> tuple[int, ...]:
+    """Bell numbers B_0 .. B_n, the row sums of the Stirling-2 table."""
+    if n < 0:
+        raise DomainError(f"Bell number of negative index {n}")
+    return tuple(map(sum, stirling2_table(n)))
+
+
+def bell(n: int) -> int:
+    """Number of set partitions of an n-set."""
+    return bell_numbers(n)[n]
+
+
 def rect_coeff(n: int, d: int) -> int:
     """Number of rectangles of height d on an n-set: n!/(d! (n/d)!); requires d | n."""
     if n < 1:
@@ -170,27 +162,6 @@ def rect_coeff(n: int, d: int) -> int:
     if d < 1 or n % d:
         raise DomainError(f"height {d} does not divide {n}")
     return factorial(n) // (factorial(d) * factorial(n // d))
-
-
-def multi_rect_coeff(n: int, heights) -> int:
-    """Number of k-rectangles of shape (d_1,...,d_k) on an n-set: n!/(d_1!...d_k!).
-
-    The heights must multiply to n.
-    """
-    heights = tuple(heights)
-    prod = 1
-    for d in heights:
-        if d < 1:
-            raise DomainError(f"non-positive height {d}")
-        prod *= d
-    if prod != n:
-        raise DomainError(f"heights {heights} multiply to {prod}, not {n}")
-    denom = 1
-    for d in heights:
-        denom *= factorial(d)
-    num = factorial(n)
-    assert num % denom == 0
-    return num // denom
 
 
 def lyndon_count(n: int, alpha: int) -> int:

@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from operator import and_
-from typing import NamedTuple
 
 from . import numkit as nk
 from . import species as sp
@@ -72,11 +71,6 @@ def canon_labels(labels) -> tuple:
 
 def canon_partition(blocks) -> tuple:
     return canon_labels([canon_labels(b) for b in blocks])
-
-
-class Rect(NamedTuple):
-    pi: tuple
-    tau: tuple
 
 
 # -- partitions ------------------------------------------------------------------
@@ -201,10 +195,11 @@ def _k_rectangles_of(labels, k):
 
 
 def rectangles_of(labels):
+    """The rectangles on the labels: (π, τ) tuples of partitions, one per axis."""
     labels = canon_labels(labels)
     if len(labels) > ENUM_LIMIT:
         raise ScaleLimit(f"rectangles on {len(labels)} labels exceeds limit {ENUM_LIMIT}")
-    return [Rect(p, t) for p, t in _k_rectangles_of(labels, 2)]
+    return list(_k_rectangles_of(labels, 2))
 
 
 def k_rectangles(n: int, k: int):
@@ -249,19 +244,27 @@ def _k_partial_rectangles_of(labels, k):
 
 
 def partial_rectangles_of(labels):
+    """The partial rectangles on the labels: (π, τ) tuples of partitions whose meet is the finest."""
     labels = canon_labels(labels)
     parts = partitions_of(labels)
     if len(parts) ** 2 > PARTIAL_CANDIDATES:
         raise ScaleLimit(f"{len(parts)}^2 partition pairs exceed limit {PARTIAL_CANDIDATES}")
-    return [Rect(p, q) for p, q in _k_partial_rectangles_of(labels, 2)]
+    return _k_partial_rectangles_of(labels, 2)
 
 
 def k_partial_rectangles(n: int, k: int):
     if k < 1:
         raise DomainError("dimension k must be >= 1")
     parts = set_partitions(n)
-    if len(parts) ** k > PARTIAL_CANDIDATES:
+    # any base >= 2 passes the limit by the exponent PARTIAL_CANDIDATES.bit_length()
+    if len(parts) ** min(k, PARTIAL_CANDIDATES.bit_length()) > PARTIAL_CANDIDATES:
         raise ScaleLimit(f"{len(parts)}^{k} partition tuples exceed limit {PARTIAL_CANDIDATES}")
+    count = sp.pr_k_exact(k, n)[n]
+    if count * k > ENUM_STRUCTURES:
+        raise ScaleLimit(
+            f"k_partial_rectangles({n}, {k}) would build {count * k} partitions, "
+            f"past the oracle budget {ENUM_STRUCTURES}"
+        )
     return _k_partial_rectangles_of(tuple(range(1, n + 1)), k)
 
 
@@ -356,10 +359,10 @@ def _enum(expr, labels):
         # a partition's blocks are canonical labels one level up, as they come
         rects = rectangles_of if isinstance(expr, sp.AProd) else partial_rectangles_of
         return tuple(
-            (expr.name, rect.pi, rect.tau, m, t)
-            for rect in rects(labels)
-            for m in _enum(expr.f, rect.pi)
-            for t in _enum(expr.g, rect.tau)
+            (expr.name, pi, tau, m, t)
+            for pi, tau in rects(labels)
+            for m in _enum(expr.f, pi)
+            for t in _enum(expr.g, tau)
         )
     if isinstance(expr, sp.Derivative):
         star = _fresh_star(labels)
@@ -525,10 +528,11 @@ def matrices_01(m: int, n: int, r: int) -> int:
     return count
 
 
-def box_perm(rect: Rect, sigma1, sigma2) -> dict:
-    """Permutation induced by block permutations on the two sides of a rectangle."""
-    pi_of = {u: b for b in rect.pi for u in b}
-    tau_of = {u: b for b in rect.tau for u in b}
+def box_perm(rect, sigma1, sigma2) -> dict:
+    """Permutation induced by block permutations on the two sides of a rectangle (π, τ)."""
+    pi, tau = rect
+    pi_of = {u: b for b in pi for u in b}
+    tau_of = {u: b for b in tau for u in b}
     out = {}
     for u in pi_of:
         image = set(sigma1[pi_of[u]]).intersection(sigma2[tau_of[u]])
@@ -544,10 +548,11 @@ def tuple_decompositions(sigma):
         raise ScaleLimit(f"{len(labels)} labels exceeds limit {ENUM_LIMIT}")
     out = []
     for rect in rectangles_of(labels):
-        for p1 in permutations(rect.pi):
-            s1 = dict(zip(rect.pi, p1))
-            for p2 in permutations(rect.tau):
-                s2 = dict(zip(rect.tau, p2))
+        pi, tau = rect
+        for p1 in permutations(pi):
+            s1 = dict(zip(pi, p1))
+            for p2 in permutations(tau):
+                s2 = dict(zip(tau, p2))
                 if box_perm(rect, s1, s2) == sigma:
                     out.append((rect, s1, s2))
     return out

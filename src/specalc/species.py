@@ -571,12 +571,6 @@ def _tail_upper(term, ratio, start):
     return acc + term(j) / (1 - ratio(j))
 
 
-def _moment_upper(term, ratio, upto):
-    """Upper bound on the full sum over i >= 0, exact through ``upto``."""
-    exact = sum((term(i) for i in range(upto + 1)), Fraction(0))
-    return exact + _tail_upper(term, ratio, upto + 1)
-
-
 def _invfact_term(p):
     return lambda i: Fraction(i ** p, nk.factorial(i))
 
@@ -585,19 +579,10 @@ def _invfact_ratio(p):
     return lambda i: Fraction((i + 1) ** p, i ** p * (i + 1))
 
 
-def _einv_enclosure(terms: int = 30) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of 1/e from the alternating series."""
-    s = Fraction(0)
-    lo = hi = None
-    for j in range(terms + 2):
-        s += Fraction((-1) ** j, nk.factorial(j))
-        if j >= terms:
-            if j % 2:
-                lo = s
-            else:
-                hi = s
-    assert lo is not None and hi is not None and lo < hi
-    return lo, hi
+def _einv_enclosure() -> tuple[Fraction, Fraction]:
+    """Rational enclosure (S_31, S_30) of 1/e by partial sums of sum (-1)^j / j!."""
+    s30 = sum((Fraction((-1) ** j, nk.factorial(j)) for j in range(31)), Fraction(0))
+    return s30 - Fraction(1, nk.factorial(31)), s30
 
 
 def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
@@ -606,8 +591,11 @@ def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
     Evaluates e^(-k) * sum over i_1..i_k >= 0 of (i_1...i_k)_n / (i_1!...i_k!)
     with a certified rational enclosure of width below tol, asserts the
     exact count from pr_k_exact lies inside, and returns (midpoint,
-    half-width) as floats.  tol is compared exactly as it is given (a
-    float, a Fraction or a Decimal).
+    half-width) as floats.  The box [0..box]^k is summed exactly, and the
+    rest is at most k T F^(k-1), with T one axis's tail bound past the box,
+    walked once per box, and F = T plus that axis's terms through the box.
+    tol is compared exactly as it is given (a float, a Fraction or a
+    Decimal).
     """
     if k < 1 or n < 0:
         raise DomainError("need k >= 1 and n >= 0")
@@ -621,7 +609,7 @@ def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
     term, ratio = _invfact_term(n), _invfact_ratio(n)
     while True:
         axis_tail = _tail_upper(term, ratio, box + 1)
-        axis_full = _moment_upper(term, ratio, box)
+        axis_full = sum((term(i) for i in range(box + 1)), Fraction(0)) + axis_tail
         tail = k * axis_tail * axis_full ** (k - 1)
         s = _pittel_box_sum(k, n, box)
         lo = ek_lo * s

@@ -115,16 +115,6 @@ def test_rect_coeff():
         nk.rect_coeff(6, 4)
 
 
-def test_multi_rect_coeff():
-    assert nk.multi_rect_coeff(4, [2, 2]) == 6
-    assert nk.multi_rect_coeff(4, [2, 2]) == nk.rect_coeff(4, 2)
-    for n in (1, 3, 7):
-        assert nk.multi_rect_coeff(n, [n]) == 1
-    assert nk.multi_rect_coeff(8, [2, 2, 2]) == 5040
-    with pytest.raises(DomainError):
-        nk.multi_rect_coeff(8, [2, 2])
-
-
 def test_lyndon_count():
     assert nk.lyndon_count(1, 2) == 2
     assert nk.lyndon_count(2, 2) == 1

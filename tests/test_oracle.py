@@ -113,7 +113,7 @@ def test_partition_axioms():
 def test_rectangles_census():
     rects = oracle.rectangles_of(range(1, 5))
     assert len(rects) == 8
-    heights = Counter(len(r.pi) for r in rects)
+    heights = Counter(len(pi) for pi, _ in rects)
     assert heights == {1: 1, 2: 6, 4: 1}
     assert len(oracle.rectangles_of(range(1, 7))) == 122
     for n in range(1, 8):
@@ -124,10 +124,10 @@ def test_rectangles_census():
 
 def test_rectangle_axioms():
     for n in (1, 2, 3, 4, 6):
-        for rect in oracle.rectangles_of(range(1, n + 1)):
-            assert oracle.is_finest(oracle.meet(rect.pi, rect.tau))
-            for a in rect.pi:
-                for b in rect.tau:
+        for pi, tau in oracle.rectangles_of(range(1, n + 1)):
+            assert oracle.is_finest(oracle.meet(pi, tau))
+            for a in pi:
+                for b in tau:
                     assert len(set(a) & set(b)) == 1
 
 
@@ -136,11 +136,8 @@ def test_k_rectangles_match_multinomial_census():
         for n in range(1, 9):
             want = 0
             for shape in itertools.product(nk.divisors(n), repeat=k):
-                p = 1
-                for d in shape:
-                    p *= d
-                if p == n:
-                    want += nk.multi_rect_coeff(n, shape)
+                if math.prod(shape) == n:
+                    want += nk.factorial(n) // math.prod(map(nk.factorial, shape))
             assert len(oracle.k_rectangles(n, k)) == want, (n, k)
 
 
@@ -189,10 +186,10 @@ def test_rectangles_match_the_fill_and_dedupe_reference_in_order():
     for labels in ((1, 2, 3, "*"), ((1,), (2, 3), (4,), (5, 6)), ("*", 4, (1, 2), 3)):
         want = _fill_and_dedupe_rectangles(oracle.canon_labels(labels), 2)
         got = oracle.rectangles_of(labels)
-        assert got == [oracle.Rect(p, t) for p, t in want], labels
-        for rect in got:
-            assert rect.pi == oracle.canon_partition(rect.pi)
-            assert rect.tau == oracle.canon_partition(rect.tau)
+        assert got == list(want), labels
+        for pi, tau in got:
+            assert pi == oracle.canon_partition(pi)
+            assert tau == oracle.canon_partition(tau)
 
 
 def test_k_rectangles_at_a_deep_k_return_or_hit_the_budget():
@@ -211,8 +208,8 @@ def test_rectangle_builders_reject_a_negative_ground_set():
 
 def test_partial_rectangles():
     assert len(oracle.partial_rectangles_of(range(1, 3))) == 3
-    for rect in oracle.partial_rectangles_of(range(1, 5)):
-        assert oracle.is_finest(oracle.meet(rect.pi, rect.tau))
+    for pi, tau in oracle.partial_rectangles_of(range(1, 5)):
+        assert oracle.is_finest(oracle.meet(pi, tau))
     for k in (1, 2, 3):
         for n in range(5):
             assert len(oracle.k_partial_rectangles(n, k)) == sp.pr_k_exact(k, n)[n]
@@ -231,16 +228,28 @@ def test_partial_rectangle_kernel_matches_the_meet_filter():
                 if oracle.is_finest(m):
                     want.append(tup)
             assert oracle._k_partial_rectangles_of(labels, k) == want, (k, n)
-    assert oracle.partial_rectangles_of(range(1, 5)) == [
-        oracle.Rect(*t) for t in oracle._k_partial_rectangles_of((1, 2, 3, 4), 2)
-    ]
+    assert oracle.partial_rectangles_of(range(1, 5)) == oracle._k_partial_rectangles_of(
+        (1, 2, 3, 4), 2
+    )
 
 
 def test_partial_rectangles_at_a_deep_k_take_linear_time():
-    # a kernel that grows prefix tuples level by level is quadratic in k
+    # a kernel that grows prefix tuples level by level is quadratic in k;
+    # k = 10**6 is the largest k the output budget admits at n = 1
     start = time.perf_counter()
-    assert oracle.k_partial_rectangles(1, 3_000_000) == [(((1,),),) * 3_000_000]
+    assert oracle.k_partial_rectangles(1, 10 ** 6) == [(((1,),),) * 10 ** 6]
     assert time.perf_counter() - start < 5.0
+
+
+def test_partial_rectangles_at_a_deep_k_hit_the_budget_fast():
+    for n, k in ((1, 10 ** 6 + 1), (0, 10 ** 9)):
+        with pytest.raises(ScaleLimit, match="past the oracle budget"):
+            oracle.k_partial_rectangles(n, k)
+    # the candidate check must not form Bell(3)^k = 5^(10^7) in full
+    start = time.perf_counter()
+    with pytest.raises(ScaleLimit, match=r"5\^10000000 partition tuples exceed limit"):
+        oracle.k_partial_rectangles(3, 10 ** 7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_basics():
@@ -582,15 +591,15 @@ def test_induced_permutation_cycle_type():
     rng = random.Random(32)
     for n in (4, 6):
         labels = tuple(range(1, n + 1))
-        for rect in oracle.rectangles_of(range(1, n + 1)):
+        for pi, tau in oracle.rectangles_of(range(1, n + 1)):
             for _ in range(3):
-                p1 = list(rect.pi)
+                p1 = list(pi)
                 rng.shuffle(p1)
-                s1 = dict(zip(rect.pi, p1))
-                p2 = list(rect.tau)
+                s1 = dict(zip(pi, p1))
+                p2 = list(tau)
                 rng.shuffle(p2)
-                s2 = dict(zip(rect.tau, p2))
-                induced = oracle.box_perm(rect, s1, s2)
+                s2 = dict(zip(tau, p2))
+                induced = oracle.box_perm((pi, tau), s1, s2)
                 assert zi.box_type(_cycle_type(s1), _cycle_type(s2)) == _cycle_type(
                     induced
                 )

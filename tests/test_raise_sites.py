@@ -1,0 +1,56 @@
+"""Public raise sites no other test reaches, each matched by its message."""
+
+import pytest
+
+from specalc import dslcli
+from specalc import numkit as nk
+from specalc import oracle
+from specalc import species as sp
+from specalc import zindex as zi
+from specalc.errors import DomainError, ScaleLimit, ZeroConstantRequired
+
+RAISES = [
+    (nk.binomial, (-1, 0), DomainError, "binomial with negative upper argument -1"),
+    (nk.factorize, (0,), DomainError, "factorization of non-positive 0"),
+    (nk.rect_coeff, (0, 1), DomainError, "rectangle coefficient needs n >= 1, got 0"),
+    (nk.lyndon_count, (0, 2), DomainError, "Lyndon count needs n >= 1, got 0"),
+    (nk.lyndon_count, (3, -1), DomainError, "alphabet size must be nonnegative, got -1"),
+    (nk.parts_to_mult, ([0],), DomainError, "partition part 0 must be positive"),
+    (nk.int_partitions, (-1,), DomainError, "partitions of negative -1"),
+    (nk.aprod_counts, ((1, 1), (0, 1)), ZeroConstantRequired,
+     "arithmetic product operand has a nonzero constant term"),
+    (oracle.k_rectangles, (9, 2), ScaleLimit, r"k_rectangles\(9\) exceeds limit 8"),
+    (oracle.k_rectangles, (2, 0), DomainError, "dimension k must be >= 1"),
+    (oracle.partial_rectangles_of, (range(1, 9),), ScaleLimit,
+     r"4140\^2 partition pairs exceed limit 2000000"),
+    (oracle.k_partial_rectangles, (2, 0), DomainError, "dimension k must be >= 1"),
+    (oracle.k_partial_rectangles, (5, 5), ScaleLimit,
+     r"52\^5 partition tuples exceed limit 2000000"),
+    (oracle.matrices_01, (-1, 1, 1), DomainError, "matrix parameters must be nonnegative"),
+    (oracle.tuple_decompositions, ({u: u for u in range(1, 10)},), ScaleLimit,
+     "9 labels exceeds limit 8"),
+    (sp.mnr_formula, (-1, 1, 1), DomainError,
+     "matrix dimensions and weight must be nonnegative"),
+    (sp.pittel_numeric, (0, 1, 1e-6), DomainError, "need k >= 1 and n >= 0"),
+    (sp.cyclotomic_check, (0, 3), DomainError, "alpha must be >= 1, got 0"),
+    (zi.CycleIndex, (-1,), DomainError, "weight bound must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, error, message", RAISES,
+    ids=[f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}" for fn, *_ in RAISES],
+)
+def test_public_raise_site(fn, args, error, message):
+    with pytest.raises(error, match=message):
+        fn(*args)
+
+
+def test_is_multiplicative_needs_x_at_one():
+    assert sp.is_multiplicative([0, 2, 1]) == (False, (1, 1))
+
+
+def test_a_non_integer_max_n_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("SPECALC_MAX_N", "abc")
+    assert dslcli.main(["counts", "E", "--n", "3"]) == 3
+    assert capsys.readouterr().err == "error: SPECALC_MAX_N must be an integer, got 'abc'\n"

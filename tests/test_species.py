@@ -253,8 +253,8 @@ def test_partial_rect_mnr():
     assert sp.partial_rect_mnr(1, 1, 1) == 1
     want = sum(
         1
-        for rect in oracle.partial_rectangles_of(range(1, 5))
-        if len(rect.pi) == 2 and len(rect.tau) == 3
+        for pi, tau in oracle.partial_rectangles_of(range(1, 5))
+        if len(pi) == 2 and len(tau) == 3
     )
     assert sp.partial_rect_mnr(2, 3, 4) == want
 
@@ -262,8 +262,8 @@ def test_partial_rect_mnr():
 def test_partial_rect_mnr_matches_oracle():
     for r in range(6):
         shapes = {}
-        for rect in oracle.partial_rectangles_of(range(1, r + 1)):
-            key = (len(rect.pi), len(rect.tau))
+        for pi, tau in oracle.partial_rectangles_of(range(1, r + 1)):
+            key = (len(pi), len(tau))
             shapes[key] = shapes.get(key, 0) + 1
         for m in range(5):
             for n in range(5):
@@ -428,8 +428,9 @@ def _enclose_sum(axes, p, falling_of, pref_lo, pref_hi, tol_abs, start=0):
         for kind in axes:
             term = _geom_term(p) if kind == "geom" else sp._invfact_term(p)
             ratio = _geom_ratio(p) if kind == "geom" else sp._invfact_ratio(p)
-            tails.append(sp._tail_upper(term, ratio, box + 1))
-            fulls.append(sp._moment_upper(term, ratio, box))
+            axis_tail = sp._tail_upper(term, ratio, box + 1)
+            tails.append(axis_tail)
+            fulls.append(sum((term(i) for i in range(box + 1)), Fraction(0)) + axis_tail)
         tail = sum(
             tails[j] * prod(fulls[:j] + fulls[j + 1 :], start=Fraction(1))
             for j in range(len(axes))
