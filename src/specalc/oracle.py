@@ -4,8 +4,8 @@ Structures are canonical nested tuples with a total order, so lists of
 structures are duplicate-free and deterministic, Fix counts are honest
 counts of equalities, and oracle dumps reproduce byte for byte.  Each
 structure leads with a tag naming its kind (``set``, ``cycle``, ``aprod``,
-...); a masked operand's or a sugar atom's structures are its core
-operand's.  Transport reads those tags alone, never the expression.
+...); a ``plus`` or ``restrict`` node's or a sugar atom's structures are
+its core operand's.  Transport reads those tags alone, never the expression.
 
 Labels may be ints, strings, or tuples of labels (blocks of a partition
 act as labels one level up); ``_key`` gives them a single total order.
@@ -373,8 +373,10 @@ def _enum(expr, labels):
         return tuple(
             ("point", u, s) for u in labels for s in _enum(expr.f, labels)
         )
-    if type(expr) in sp._MASKS:
-        return _enum(expr.f, labels) if sp._MASKS[type(expr)](expr, n) else ()
+    if isinstance(expr, sp.NonEmpty):
+        return _enum(expr.f, labels) if n else ()
+    if isinstance(expr, sp.Restrict):
+        return _enum(expr.f, labels) if n == expr.n else ()
     if isinstance(expr, sp.HCT):
         # root pinned to the least label: structures then follow the divisor
         # recursion exactly (a freely chosen root would multiply counts by n)

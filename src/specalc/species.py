@@ -14,36 +14,38 @@ route the tests compare them against.  Type counts (``type_counts``) are
 ``int`` tuples too, from ``_types``: the arithmetic product is the Dirichlet
 convolution of its operands' type series, and an atom the Burnside sum over
 its index; ``eval_ogf``, which specialises the whole cycle index, is their
-independent route.  Every index is a ``zindex`` kernel's (``zi_deriv`` and
-``zi_mask`` too), stored unchecked: this module builds none and reads no term.
+independent route.  Every index is a ``zindex`` kernel's, stored unchecked:
+this module builds none and reads no term.
 
 A new node kind is one ``SpeciesExpr`` subclass here, one ``_RULES`` row
-(its count rule, its ``zindex`` cycle-index kernel or the noun of the
-error where it has none, and its type rule where its operands' type series
-suffice; otherwise ``_types`` takes the Burnside sum of its cycle index) and one branch
-of ``oracle._enum``; it needs a branch of ``oracle._transport``, which
-reads the structure's tags and not the expression, only when its
-structures lead with a new tag.  A node that keeps its operand at some
-sizes only is one ``_MASKS`` predicate instead of a row.  A new atom (a node with no expression argument) needs no row, only
-one ``zindex`` fix-value entry under its source name (and a place among
-the atoms ``zi_atom`` walks at every cycle type if it fixes structures off
-the equal-part types).  An operand that must have no structures on the
-empty set is one ``_EMPTY_FREE`` entry, which ``validate`` reads.
-The class is the one place the kind is declared: the grammar of
-``dslcli``, the printer and the argument errors read its source name
-``name``, and its annotated fields are its arguments (an ``int`` field
-takes a nonnegative integer, any other an expression; the
-expression-valued ones are its ``children``).  Its count on the empty
-set is ``_counts(expr, 0)[0]``.  A sugar atom, which only abbreviates a core
-form, is one ``_SUGAR`` entry, resolved by ``validate`` before any evaluator
-or the oracle sees the tree: ``Ep``/``Lp``/``Sp`` are ``plus`` of ``E``/``L``/``S``,
-and ``Ek(k)`` and ``Xpow(n)`` are ``restrict(E, k)`` and ``restrict(L, n)``.
+and one branch of ``oracle._enum``.  The row holds its count rule, its
+``zindex`` cycle-index kernel or the noun of the error where it has none,
+its type rule where its operands' type series suffice (else ``_types``
+takes the Burnside sum of its index; ``comp``, whose type rule reads an
+operand's index, is ``_types``' one branch) and its lift, the order raise
+of its operands (1 for ``deriv``).  It needs a branch of
+``oracle._transport``, which reads the structure's tags and not the
+expression, only when its structures lead with a new tag.  A new atom (a
+node with no expression argument) needs no row, only one ``zindex``
+fix-value entry under its source name (and a place among the atoms
+``zi_atom`` walks at every cycle type if it fixes structures off the
+equal-part types).  An operand that must have no structures on the empty
+set is one ``_EMPTY_FREE`` entry, which ``validate`` reads.  The class is
+the one place the kind is declared: the grammar of ``dslcli``, the printer
+and the argument errors read its source name ``name``, and its annotated
+fields are its arguments (an ``int`` field takes a nonnegative integer, any
+other an expression; the expression-valued ones are its ``children``).  Its
+count on the empty set is ``_counts(expr, 0)[0]``.  A sugar atom, which
+only abbreviates a core form, is one ``_SUGAR`` entry, resolved by
+``validate`` before any evaluator or the oracle sees the tree:
+``Ep``/``Lp``/``Sp`` are ``plus`` of ``E``/``L``/``S``, and ``Ek(k)`` and
+``Xpow(n)`` are ``restrict(E, k)`` and ``restrict(L, n)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, inf
 from operator import add, is_not, mul
 
@@ -318,24 +320,25 @@ def validate(expr: SpeciesExpr) -> SpeciesExpr:
 
 # One row per composite node kind: its labelled-count rule on the operands'
 # counts; its cycle-index kernel, by name on ``zindex`` (looked up at call
-# time), or the noun of the error where it has no cycle index; and its
-# type-count rule on the operands' type series, where those suffice.
+# time), or the noun of the error where it has none; its type-count rule on
+# the operands' type series, where those suffice; and its lift, the order
+# raise of its operands (1 for ``deriv``).  Each rule takes the operands'
+# values, then the node's integer arguments.
 _termwise_sum = lambda f, g: tuple(map(add, f, g))
+_nonempty = lambda f: (0,) + f[1:]
+_restrict = lambda f, n: tuple(v if m == n else 0 for m, v in enumerate(f))
 _RULES = {
-    Sum: (_termwise_sum, "zi_add", _termwise_sum),
-    Prod: (nk.product_counts, "zi_mul", zi.ogf_mul),
-    Cartesian: (lambda f, g: tuple(map(mul, f, g)), "zi_hadamard", None),
-    Subst: (nk.compose_counts, "zi_plethysm", None),
-    AProd: (nk.aprod_counts, "zi_aprod", nk.dirichlet_convolution),
-    MAProd: (nk.maprod_counts, "the modified arithmetic product", None),
-    Point: (lambda f: tuple(n * c for n, c in enumerate(f)), "zi_point", None),
-    HCT: (nk.hct_counts, "hyper-cloned trees", None),
-}
-
-# The nodes that keep their operand at the sizes one predicate accepts.
-_MASKS = {
-    NonEmpty: lambda e, n: n > 0,
-    Restrict: lambda e, n: n == e.n,
+    Sum: (_termwise_sum, "zi_add", _termwise_sum, 0),
+    Prod: (nk.product_counts, "zi_mul", zi.ogf_mul, 0),
+    Cartesian: (lambda f, g: tuple(map(mul, f, g)), "zi_hadamard", None, 0),
+    Subst: (nk.compose_counts, "zi_plethysm", None, 0),
+    AProd: (nk.aprod_counts, "zi_aprod", nk.dirichlet_convolution, 0),
+    MAProd: (nk.maprod_counts, "the modified arithmetic product", None, 0),
+    Derivative: (lambda f: f[1:], "zi_deriv", None, 1),
+    Point: (lambda f: tuple(n * c for n, c in enumerate(f)), "zi_point", None, 0),
+    NonEmpty: (_nonempty, "zi_nonempty", _nonempty, 0),
+    Restrict: (_restrict, "zi_restrict", _restrict, 0),
+    HCT: (nk.hct_counts, "hyper-cloned trees", None, 0),
 }
 
 
@@ -346,9 +349,9 @@ def _rule(expr: SpeciesExpr):
     return _RULES[type(expr)]
 
 
-def _masked(expr: SpeciesExpr, values) -> tuple[int, ...]:
-    """The operand's values kept at the sizes the node's mask accepts, 0 elsewhere."""
-    return tuple(v if _MASKS[type(expr)](expr, n) else 0 for n, v in enumerate(values))
+def _ints(expr: SpeciesExpr) -> tuple[int, ...]:
+    """The integer arguments of the node, in field order."""
+    return tuple(getattr(expr, f) for f in expr.int_fields)
 
 
 # -- labelled count evaluator ----------------------------------------------------
@@ -358,11 +361,8 @@ def _counts(expr: SpeciesExpr, order: int) -> tuple[int, ...]:
     """Labelled counts |F[0]| .. |F[order]| on exact integers, one kernel per node."""
     if expr.fields == expr.int_fields:  # an atom: its fix-values at the identity types
         return zi.atom_counts(expr.name, order, *expr.args)
-    if isinstance(expr, Derivative):
-        return _counts(expr.f, order + 1)[1:]
-    if type(expr) in _MASKS:
-        return _masked(expr, _counts(expr.f, order))
-    return _rule(expr)[0](*(_counts(ch, order) for ch in children(expr)))
+    rule, _, _, lift = _rule(expr)
+    return rule(*(_counts(ch, order + lift) for ch in children(expr)), *_ints(expr))
 
 
 @lru_cache(maxsize=None)
@@ -403,20 +403,14 @@ ZI_DERIV_BOUND = 30
 def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
     if expr.fields == expr.int_fields:  # an atom
         return zi.zi_atom(expr.name, bound, *expr.args)
-    if isinstance(expr, Derivative):
-        if bound + 1 > ZI_DERIV_BOUND:
-            raise ScaleLimit(
-                f"derivatives raise the cycle-index weight bound to {bound + 1},"
-                f" past {ZI_DERIV_BOUND}"
-            )
-        return zi.zi_deriv(_zi(expr.f, bound + 1, path + (0,)))
-    if type(expr) in _MASKS:
-        return zi.zi_mask(_zi(expr.f, bound, path + (0,)), partial(_MASKS[type(expr)], expr))
-    kernel = _rule(expr)[1]
+    _, kernel, _, lift = _rule(expr)
     if not kernel.startswith("zi_"):
         raise UnsupportedForCycleIndex(path, f"no cycle index for {kernel}")
-    operands = (_zi(ch, bound, path + (i,)) for i, ch in enumerate(children(expr)))
-    return getattr(zi, kernel)(*operands)
+    if lift and bound + lift > ZI_DERIV_BOUND:
+        raise ScaleLimit(f"derivatives raise the cycle-index weight bound to {bound + lift},"
+                         f" past {ZI_DERIV_BOUND}")
+    operands = (_zi(ch, bound + lift, path + (i,)) for i, ch in enumerate(children(expr)))
+    return getattr(zi, kernel)(*operands, *_ints(expr))
 
 
 def eval_ogf(expr: SpeciesExpr, order: int) -> TruncSeries:
@@ -438,13 +432,12 @@ def _types(expr: SpeciesExpr, order: int, path) -> tuple[int, ...]:
     evaluated before operand 1, as in ``_zi``, so an error below a binary
     node names the same path on both routes.
     """
-    if type(expr) in _MASKS:
-        return _masked(expr, _types(expr.f, order, path + (0,)))
     if isinstance(expr, Subst):
         return zi.ogf_plethysm(_zi(expr.f, order, path + (0,)), _types(expr.g, order, path + (1,)))
-    rule = _RULES.get(type(expr), (None,) * 3)[2]
+    _, _, rule, lift = _RULES.get(type(expr), (None,) * 4)
     if rule:
-        return rule(*(_types(ch, order, path + (i,)) for i, ch in enumerate(children(expr))))
+        operands = (_types(ch, order + lift, path + (i,)) for i, ch in enumerate(children(expr)))
+        return rule(*operands, *_ints(expr))
     return zi.type_series(_zi(expr, order, path), order)
 
 

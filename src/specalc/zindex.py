@@ -212,9 +212,14 @@ def zi_deriv(p: CycleIndex) -> CycleIndex:
     })
 
 
-def zi_mask(p: CycleIndex, keep) -> CycleIndex:
-    """p's terms whose weight n satisfies keep(n): ``plus`` and ``restrict`` of an index."""
-    return _of(p.bound, {lam: v for lam, v in p.fix.items() if keep(nk.weight(lam))})
+def zi_nonempty(p: CycleIndex) -> CycleIndex:
+    """The nonempty part: p without its weight-0 term, the one keyed ()."""
+    return _of(p.bound, {lam: v for lam, v in p.fix.items() if lam})
+
+
+def zi_restrict(p: CycleIndex, n: int) -> CycleIndex:
+    """The part concentrated in cardinality n: p's terms of weight n."""
+    return _of(p.bound, {lam: v for lam, v in p.fix.items() if nk.weight(lam) == n})
 
 
 def _add_mult(a, b):

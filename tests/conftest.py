@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from specalc import species as sp
+from specalc.errors import PreconditionViolated
 from specalc.series import TruncSeries
 
 
@@ -55,6 +56,31 @@ def rand_emptyfree(rng: random.Random, depth: int = 2) -> sp.SpeciesExpr:
         return sp.AProd(a, b)
     # a product with at least one empty-free factor stays empty-free
     return sp.Prod(a, rng.choice(ANY_POOL))
+
+
+_SMALL_POOL = [sp.X(), sp.E(), sp.Eplus(), sp.C(), sp.Ek(2), sp.XPow(2)]
+_WRAPPERS = (
+    lambda rng, f: sp.Derivative(f),
+    lambda rng, f: sp.NonEmpty(f),
+    lambda rng, f: sp.Restrict(f, rng.randint(0, 5)),
+)
+
+
+def rand_wrapped(rng: random.Random, depth: int = 2) -> sp.SpeciesExpr:
+    """Random valid tree whose root is ``deriv``, ``plus`` or ``restrict`` of a
+    ``comp``, ``*``, ``aprod`` or ``cart`` node; below depth 1 the operands are
+    such trees too, or small atoms.  Trees that fail ``validate`` are redrawn.
+    """
+    while True:
+        ops = [rand_wrapped(rng, depth - 1) if depth > 1 and rng.random() < 0.5
+               else rng.choice(_SMALL_POOL) for _ in range(2)]
+        node = rng.choice((sp.Subst, sp.Prod, sp.AProd, sp.Cartesian))(*ops)
+        expr = rng.choice(_WRAPPERS)(rng, node)
+        try:
+            sp.validate(expr)
+        except PreconditionViolated:
+            continue
+        return expr
 
 
 def rand_any(rng: random.Random, depth: int = 2) -> sp.SpeciesExpr:

@@ -484,6 +484,19 @@ def test_main_exit_codes(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_check_does_not_share_the_restrict_rule_with_the_oracle(capsys, monkeypatch):
+    # a restrict count rule that keeps size n + 1 must disagree with the oracle
+    _, *rest = sp._RULES[sp.Restrict]
+    wrong = lambda f, n: tuple(v if m == n + 1 else 0 for m, v in enumerate(f))
+    sp._counts.cache_clear(), oracle._enum.cache_clear()
+    monkeypatch.setitem(sp._RULES, sp.Restrict, (wrong, *rest))
+    try:
+        assert main(["check", "restrict(E, 3)", "--n", "4"]) == 5
+    finally:
+        sp._counts.cache_clear(), oracle._enum.cache_clear()
+    capsys.readouterr()
+
+
 def test_pittel_box_past_the_point_limit_exits_4(capsys):
     assert main(["table", "pittel", "--k", "8", "--n", "1"]) == 4
     assert "scale limit" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from conftest import rand_any, rand_emptyfree
+from conftest import rand_any, rand_emptyfree, rand_wrapped
 from specalc import numkit as nk
 from specalc import oracle
 from specalc import series as se
@@ -101,19 +101,18 @@ def test_every_node_kind_has_one_evaluator_entry():
     for cls in sp.SpeciesExpr.__subclasses__():
         homes = [
             cls in sp._SUGAR or cls.fields == cls.int_fields,  # core() or the atom tables
-            cls in sp._MASKS,
-            cls is sp.Derivative,
             cls in sp._RULES,
         ]
         assert homes.count(True) == 1, cls
         if cls.fields == cls.int_fields and cls not in sp._SUGAR:
             zi.atom_counts(cls.name, 0, *(2,) * len(cls.fields))  # UnknownAtom if missing
-    for cls, (count_rule, kernel, type_rule) in sp._RULES.items():
+    for cls, (count_rule, kernel, type_rule, lift) in sp._RULES.items():
         assert callable(count_rule) and (type_rule is None or callable(type_rule)), cls
         if kernel.startswith("zi_"):
             assert callable(getattr(zi, kernel, None)), (cls, kernel)
-    nouns = {cls for cls, (_, kernel, _) in sp._RULES.items() if not kernel.startswith("zi_")}
+    nouns = {cls for cls, (_, kernel, _, _) in sp._RULES.items() if not kernel.startswith("zi_")}
     assert nouns == {sp.MAProd, sp.HCT}
+    assert {cls for cls, row in sp._RULES.items() if row[3]} == {sp.Derivative}
 
 
 def test_cycle_index_kernels_are_looked_up_at_call_time(monkeypatch):
@@ -145,6 +144,21 @@ def test_zi_egf_diagram_on_random_expressions():
     for _ in range(15):
         expr = rand_emptyfree(rng)
         assert zi.zi_to_egf(sp.eval_zi(expr, 6), 6) == sp.eval_egf(expr, 6), expr
+
+
+def test_wrapped_composites_agree_on_every_route():
+    # deriv, plus and restrict over comp, *, aprod and cart subtrees: labelled
+    # counts against the oracle, type counts against the specialised index,
+    # and the index's identity column against the labelled counts
+    rng = random.Random(27)
+    for _ in range(40):
+        expr = rand_wrapped(rng)
+        counts = sp.eval_counts(expr, 5)
+        for n in range(6):
+            assert len(oracle.enumerate_structures(expr, range(1, n + 1))) == counts[n], (expr, n)
+        assert sp.type_counts(expr, 5) == [int(c) for c in sp.eval_ogf(expr, 5).coeffs], expr
+        z = sp.eval_zi(expr, 5)
+        assert [z.fix_value((n,) if n else ()) for n in range(6)] == counts, expr
 
 
 def test_hct_recursion_values():

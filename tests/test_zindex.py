@@ -555,7 +555,7 @@ def _assert_stored_as_the_door_stores(r):
 def _every_kernel(p, q):
     """Every index-building kernel applied to p and q where its preconditions hold."""
     out = [zi.zi_add(p, q), zi.zi_mul(p, q), zi.zi_hadamard(p, q), zi.zi_point(p)]
-    out += [zi.zi_mask(p, lambda n: n > 0), zi.zi_mask(p, lambda n: n == 3)]
+    out += [zi.zi_nonempty(p), zi.zi_restrict(p, 3)]
     if p.bound:
         out.append(zi.zi_deriv(p))
     if () not in q.fix:
