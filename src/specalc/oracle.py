@@ -13,6 +13,8 @@ act as labels one level up); ``_key`` gives them a single total order.
 native comparison raises ``TypeError``; the two orders agree wherever the
 native one is defined.  Scale limits are the named constants below and
 raising past them is a ``ScaleLimit`` error, never silent truncation.
+Every entry point reads the labels or permutation it is given through
+``_labels`` or ``_permutation``; ``_enum`` is the one cache.
 """
 
 from __future__ import annotations
@@ -73,9 +75,25 @@ def canon_partition(blocks) -> tuple:
     return canon_labels([canon_labels(b) for b in blocks])
 
 
+def _labels(labels, what) -> tuple:
+    """The labels an entry point was given, canonical, distinct and within ``ENUM_LIMIT``."""
+    labels = canon_labels(labels)
+    if len(set(labels)) != len(labels):
+        raise DomainError("labels must be distinct")
+    if len(labels) > ENUM_LIMIT:
+        raise ScaleLimit(f"{what} on {len(labels)} labels exceeds limit {ENUM_LIMIT}")
+    return labels
+
+
+def _permutation(sigma, what) -> tuple:
+    """The canonical domain of a map that permutes it, checked as ``_labels`` checks labels."""
+    if canon_labels(sigma.values()) != canon_labels(sigma):
+        raise DomainMismatch("sigma is not a permutation of its domain")
+    return _labels(sigma, what)
+
+
 # -- partitions ------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def partitions_of(labels) -> tuple:
     """All set partitions of a canonical label tuple, deterministic order.
 
@@ -138,7 +156,6 @@ def _ordered_factorizations(n, k):
     return sorted(shapes)
 
 
-@lru_cache(maxsize=None)
 def _k_rectangles_of(labels, k):
     """All k-tuples of pairwise-gridding partitions, one per canonical grid filling.
 
@@ -196,10 +213,7 @@ def _k_rectangles_of(labels, k):
 
 def rectangles_of(labels):
     """The rectangles on the labels: (π, τ) tuples of partitions, one per axis."""
-    labels = canon_labels(labels)
-    if len(labels) > ENUM_LIMIT:
-        raise ScaleLimit(f"rectangles on {len(labels)} labels exceeds limit {ENUM_LIMIT}")
-    return list(_k_rectangles_of(labels, 2))
+    return list(_k_rectangles_of(_labels(labels, "rectangles"), 2))
 
 
 def k_rectangles(n: int, k: int):
@@ -219,15 +233,14 @@ def k_rectangles(n: int, k: int):
     return list(_k_rectangles_of(tuple(range(1, n + 1)), k))
 
 
-def _k_partial_rectangles_of(labels, k):
-    """The k-tuples of partitions of the canonical labels whose meet is the finest.
+def _k_partial_rectangles_of(labels, k, parts):
+    """The k-tuples of ``parts``, the partitions of the canonical labels, whose meet is the finest.
 
     Each partition is an int bit set of the label pairs it joins into one
     block; the meet of a tuple joins the pairs every partition joins, so it
     is the finest exactly when the AND of the bit sets is 0.  No meet is
     formed.  Tuples come in ``product(parts, repeat=k)`` order.
     """
-    parts = partitions_of(labels)
     index = {u: i for i, u in enumerate(labels)}
     joins = []
     for p in parts:
@@ -245,11 +258,11 @@ def _k_partial_rectangles_of(labels, k):
 
 def partial_rectangles_of(labels):
     """The partial rectangles on the labels: (π, τ) tuples of partitions whose meet is the finest."""
-    labels = canon_labels(labels)
+    labels = _labels(labels, "partial rectangles")
     parts = partitions_of(labels)
     if len(parts) ** 2 > PARTIAL_CANDIDATES:
         raise ScaleLimit(f"{len(parts)}^2 partition pairs exceed limit {PARTIAL_CANDIDATES}")
-    return _k_partial_rectangles_of(labels, 2)
+    return _k_partial_rectangles_of(labels, 2, parts)
 
 
 def k_partial_rectangles(n: int, k: int):
@@ -265,7 +278,7 @@ def k_partial_rectangles(n: int, k: int):
             f"k_partial_rectangles({n}, {k}) would build {count * k} partitions, "
             f"past the oracle budget {ENUM_STRUCTURES}"
         )
-    return _k_partial_rectangles_of(tuple(range(1, n + 1)), k)
+    return _k_partial_rectangles_of(tuple(range(1, n + 1)), k, parts)
 
 
 # -- structure enumeration -----------------------------------------------------------
@@ -273,12 +286,7 @@ def k_partial_rectangles(n: int, k: int):
 def enumerate_structures(expr, labels):
     """Every structure of the expression on the label set, each exactly once."""
     expr = sp.validate(expr)
-    labels = canon_labels(labels)
-    if len(set(labels)) != len(labels):
-        raise DomainError("labels must be distinct")
-    if len(labels) > ENUM_LIMIT:
-        raise ScaleLimit(f"enumeration on {len(labels)} labels exceeds limit {ENUM_LIMIT}")
-    return list(_enum(expr, labels))
+    return list(_enum(expr, _labels(labels, "enumeration")))
 
 
 @lru_cache(maxsize=None)
@@ -478,11 +486,7 @@ def _transport(s, bij):
 def fix_count(expr, sigma) -> int:
     """Number of structures left fixed when transported along the permutation."""
     expr = sp.validate(expr)
-    labels = canon_labels(sigma.keys())
-    if canon_labels(sigma.values()) != labels:
-        raise DomainMismatch("sigma is not a permutation of its domain")
-    if len(labels) > ENUM_LIMIT:
-        raise ScaleLimit(f"fix count on {len(labels)} labels exceeds limit {ENUM_LIMIT}")
+    labels = _permutation(sigma, "fix count")
     return sum(1 for s in _enum(expr, labels) if _transport(s, sigma) == s)
 
 
@@ -500,13 +504,11 @@ def perm_of_type(lam) -> dict:
 
 def fix_by_type(expr, lam) -> int:
     """Fix count at any permutation of the cycle type (conjugation-invariant)."""
-    expr = sp.validate(expr)
     return fix_count(expr, perm_of_type(lam))
 
 
 def orbit_type_count(expr, n: int) -> int:
     """Number of isomorphism types on an n-set, by averaging fix counts."""
-    expr = sp.validate(expr)
     total = Fraction(0)
     for lam in nk.int_partitions(n):
         total += Fraction(fix_count(expr, perm_of_type(lam)), nk.aut(lam))
@@ -545,11 +547,8 @@ def box_perm(rect, sigma1, sigma2) -> dict:
 
 def tuple_decompositions(sigma):
     """All (rect, sigma1, sigma2) whose induced permutation is sigma."""
-    labels = canon_labels(sigma.keys())
-    if len(labels) > ENUM_LIMIT:
-        raise ScaleLimit(f"{len(labels)} labels exceeds limit {ENUM_LIMIT}")
     out = []
-    for rect in rectangles_of(labels):
+    for rect in _k_rectangles_of(_permutation(sigma, "tuple decompositions"), 2):
         pi, tau = rect
         for p1 in permutations(pi):
             s1 = dict(zip(pi, p1))

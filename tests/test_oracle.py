@@ -227,9 +227,11 @@ def test_partial_rectangle_kernel_matches_the_meet_filter():
                     m = oracle.meet(m, q)
                 if oracle.is_finest(m):
                     want.append(tup)
-            assert oracle._k_partial_rectangles_of(labels, k) == want, (k, n)
+            parts = oracle.partitions_of(labels)
+            assert oracle._k_partial_rectangles_of(labels, k, parts) == want, (k, n)
+    labels = (1, 2, 3, 4)
     assert oracle.partial_rectangles_of(range(1, 5)) == oracle._k_partial_rectangles_of(
-        (1, 2, 3, 4), 2
+        labels, 2, oracle.partitions_of(labels)
     )
 
 
@@ -641,6 +643,22 @@ def test_oracle_rejects_repeated_labels_and_maps_that_are_not_permutations():
         oracle.transport(("set", (1, 2)), {1: 3, 2: 3})
     with pytest.raises(DomainMismatch, match="sigma is not a permutation of its domain"):
         oracle.fix_count(sp.E(), {1: 2, 2: 2})
+    with pytest.raises(DomainError, match="labels must be distinct"):
+        oracle.rectangles_of([1, 1, 2, 3])
+    with pytest.raises(DomainError, match="labels must be distinct"):
+        oracle.partial_rectangles_of([1, 1, 2])
+    with pytest.raises(DomainMismatch, match="sigma is not a permutation of its domain"):
+        oracle.tuple_decompositions({1: 1, 2: 1})
+    # the label limit comes before any of the 21147 partitions of 9 labels is built
+    start = time.perf_counter()
+    with pytest.raises(ScaleLimit, match="partial rectangles on 9 labels exceeds limit 8"):
+        oracle.partial_rectangles_of(range(1, 10))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_oracle_keeps_one_cache():
+    cached = [v for v in vars(oracle).values() if hasattr(v, "cache_info")]
+    assert cached == [oracle._enum]
 
 
 def test_fix_count_past_the_oracle_limit_is_a_scale_limit():

@@ -1,5 +1,7 @@
 """Public raise sites no other test reaches, each matched by its message."""
 
+import io
+
 import pytest
 
 from specalc import dslcli
@@ -8,6 +10,17 @@ from specalc import oracle
 from specalc import species as sp
 from specalc import zindex as zi
 from specalc.errors import DomainError, ScaleLimit, ZeroConstantRequired
+from specalc.series import TruncSeries
+
+
+class _UnknownNode:
+    """A stand-in node no rule table knows; not a ``SpeciesExpr``, so the grammar keeps its kinds."""
+
+    name = "unknown"
+    fields = ("x",)
+    int_fields = ()
+    args = (0,)
+
 
 RAISES = [
     (nk.binomial, (-1, 0), DomainError, "binomial with negative upper argument -1"),
@@ -34,6 +47,14 @@ RAISES = [
     (sp.pittel_numeric, (0, 1, 1e-6), DomainError, "need k >= 1 and n >= 0"),
     (sp.cyclotomic_check, (0, 3), DomainError, "alpha must be >= 1, got 0"),
     (zi.CycleIndex, (-1,), DomainError, "weight bound must be >= 0, got -1"),
+    (zi.zi_to_ogf, (zi.zi_atom("E", 4), 5), DomainError, "order 5 exceeds weight bound 4"),
+    (TruncSeries, ([],), DomainError,
+     "a truncated series needs at least its constant coefficient"),
+    (TruncSeries([1, 2, 3]).truncate, (3,), DomainError, "cannot extend order 2 series to 3"),
+    (sp.eval_counts, (_UnknownNode(), 2), DomainError, "unknown expression node"),
+    (dslcli.to_source, (3,), DomainError, "no printable form for 3"),
+    (dslcli.cmd_table, ("square", 3), DomainError, "unknown table kind 'square'"),
+    (dslcli.format_record, ({}, "xml", io.StringIO()), DomainError, "unknown format 'xml'"),
 ]
 
 
@@ -44,6 +65,19 @@ RAISES = [
 def test_public_raise_site(fn, args, error, message):
     with pytest.raises(error, match=message):
         fn(*args)
+
+
+def test_eval_counts_rejects_a_negative_count(monkeypatch):
+    # a rule that negates its count stands in for a faulty one
+    restrict = sp._RULES[sp.Restrict]
+    negated = lambda f, n: tuple(-v for v in restrict[0](f, n))
+    monkeypatch.setitem(sp._RULES, sp.Restrict, (negated, *restrict[1:]))
+    sp._counts.cache_clear()
+    try:
+        with pytest.raises(DomainError, match="count at 1 is -1, not a nonnegative integer"):
+            sp.eval_counts(sp.Restrict(sp.E(), 1), 2)
+    finally:
+        sp._counts.cache_clear()
 
 
 def test_is_multiplicative_needs_x_at_one():
