@@ -429,21 +429,9 @@ def cmd_table(
             )
     elif kind == "pittel":
         _check_order(n)
-        if k < 1:
-            raise DomainError(f"need k >= 1, got {k}")
-        # the numeric sums check their box sizes before the exact values are formed
-        numeric = [sp.pittel_numeric(k, i, tol) for i in range(n + 1)]
-        exact = sp.pr_k_exact(k, n)
-        for i, (value, bound) in enumerate(numeric):
-            payload_rows.append(
-                {
-                    "n": str(i),
-                    "k": str(k),
-                    "exact": str(exact[i]),
-                    "numeric": repr(value),
-                    "bound": repr(bound),
-                }
-            )
+        for i, (exact, value, bound) in enumerate(sp.pittel_rows(k, n, tol)):
+            payload_rows.append({"n": str(i), "k": str(k), "exact": str(exact),
+                                 "numeric": repr(value), "bound": repr(bound)})
     else:
         raise DomainError(f"unknown table kind {kind!r}")
     return _record(f"table {kind}", "", n, {"rows": payload_rows})
@@ -596,7 +584,7 @@ def _tolerance(text: str) -> float | Decimal:
     """``--tol`` as its exact decimal value, where its float is finite and it is positive.
 
     ``float`` decides which texts parse.  Any other value stays the float,
-    so ``pittel_numeric`` names it as ``float`` prints it.  A ``Decimal``
+    so ``pittel_rows`` names it as ``float`` prints it.  A ``Decimal``
     keeps ``1e-400``, which the float rounds to 0, and compares exactly
     with the enclosure's fractions however small its exponent, without
     forming a power of ten.

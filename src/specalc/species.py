@@ -13,9 +13,9 @@ nonnegative.  The ``Fraction`` kernels of ``series`` are the independent
 route the tests compare them against.  Type counts (``type_counts``) are
 ``int`` tuples too, from ``_types``: the arithmetic product is the Dirichlet
 convolution of its operands' type series, and an atom the Burnside sum over
-its index; ``eval_ogf``, which specialises the whole cycle index, is their
-independent route.  Every index is a ``zindex`` kernel's, stored unchecked:
-this module builds none and reads no term.
+its index; ``zindex.zi_to_ogf`` of ``eval_zi``, which specialises the whole
+cycle index, is their independent route.  Every index is a ``zindex``
+kernel's, stored unchecked: this module builds none and reads no term.
 
 A new node kind is one ``SpeciesExpr`` subclass here, one ``_RULES`` row
 and one branch of ``oracle._enum``.  The row holds its count rule, its
@@ -413,11 +413,6 @@ def _zi(expr: SpeciesExpr, bound: int, path) -> zi.CycleIndex:
     return getattr(zi, kernel)(*operands, *_ints(expr))
 
 
-def eval_ogf(expr: SpeciesExpr, order: int) -> TruncSeries:
-    """Isomorphism-types series, through the cycle index."""
-    return zi.zi_to_ogf(eval_zi(expr, order), order)
-
-
 def type_counts(expr: SpeciesExpr, order: int) -> list[int]:
     """Unlabelled counts on integer type series, asserting integrality."""
     nk.check_order(order)
@@ -544,7 +539,7 @@ def pr_k_exact(k: int, order: int) -> list[int]:
 
 # -- certified numeric sums ----------------------------------------------------------
 
-# Most lattice points one exact box sum of ``pittel_numeric`` may visit.
+# Most lattice points one exact box sum of ``pittel_rows`` may visit.
 PITTEL_BOX_POINTS = 10 ** 6
 # Most cells m*n of a ``table mnr``, whose m*n+1 rows cost O((m*n)^2) big-int work.
 MNR_CELLS = 400
@@ -578,49 +573,57 @@ def _einv_enclosure() -> tuple[Fraction, Fraction]:
     return s30 - Fraction(1, nk.factorial(31)), s30
 
 
-def pittel_numeric(k: int, n: int, tol) -> tuple[float, float]:
-    """Numeric value of the k-fold falling-factorial sum for partial rectangles.
+def pittel_rows(k: int, n: int, tol) -> list[tuple[int, float, float]]:
+    """Pittel's sum beside the exact partial-rectangle count, for every size 0..n.
 
-    Evaluates e^(-k) * sum over i_1..i_k >= 0 of (i_1...i_k)_n / (i_1!...i_k!)
-    with a certified rational enclosure of width below tol, asserts the
-    exact count from pr_k_exact lies inside, and returns (midpoint,
-    half-width) as floats.  The box [0..box]^k is summed exactly, and the
-    rest is at most k T F^(k-1), with T one axis's tail bound past the box,
-    walked once per box, and F = T plus that axis's terms through the box.
-    tol is compared exactly as it is given (a float, a Fraction or a
-    Decimal).
+    Row i encloses e^(-k) * sum over i_1..i_k >= 0 of (i_1...i_k)_i /
+    (i_1!...i_k!) in rationals [lo, hi] of width below tol and is (exact,
+    midpoint, half-width): the count from ``pr_k_exact``, asserted inside
+    [lo, hi] and within tol of the midpoint, then the two floats.  The box
+    [0..2i+8]^k is summed exactly, and the rest is at most k T F^(k-1),
+    with T one axis's tail bound past the box, walked once per box, and
+    F = T plus that axis's terms through the box.  tol is compared exactly
+    as given (a float, a Fraction or a Decimal).  Each per-table value is
+    formed once: e^(-k) after the smallest box is checked, ``pr_k_exact``
+    after every box, so a box past ``PITTEL_BOX_POINTS`` forms neither.
     """
-    if k < 1 or n < 0:
-        raise DomainError("need k >= 1 and n >= 0")
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    nk.check_order(n)
     if not 0 < tol < inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-    box = 2 * n + 8
-    _check_box(k, box)
+    _check_box(k, 8)
     einv_lo, einv_hi = _einv_enclosure()
     ek_lo, ek_hi = einv_lo ** k, einv_hi ** k
-    exact = pr_k_exact(k, n)[n]
-    term, ratio = _invfact_term(n), _invfact_ratio(n)
-    while True:
-        axis_tail = _tail_upper(term, ratio, box + 1)
-        axis_full = sum((term(i) for i in range(box + 1)), Fraction(0)) + axis_tail
-        tail = k * axis_tail * axis_full ** (k - 1)
-        s = _pittel_box_sum(k, n, box)
-        lo = ek_lo * s
-        hi = ek_hi * (s + tail)
-        if hi - lo <= tol:
-            break
-        # every term is >= 0, so s and the width, at least (ek_hi - ek_lo) * s, only
-        # grow with the box: past tol no box closes it, so grow until _check_box raises
-        while (ek_hi - ek_lo) * s > tol:
+    enclosures = []
+    for i in range(n + 1):
+        box = 2 * i + 8
+        _check_box(k, box)
+        term, ratio = _invfact_term(i), _invfact_ratio(i)
+        while True:
+            axis_tail = _tail_upper(term, ratio, box + 1)
+            axis_full = sum((term(j) for j in range(box + 1)), Fraction(0)) + axis_tail
+            tail = k * axis_tail * axis_full ** (k - 1)
+            s = _pittel_box_sum(k, i, box)
+            lo = ek_lo * s
+            hi = ek_hi * (s + tail)
+            if hi - lo <= tol:
+                break
+            # every term is >= 0, so s and the width, at least (ek_hi - ek_lo) * s, only
+            # grow with the box: past tol no box closes it, so grow until _check_box raises
+            while (ek_hi - ek_lo) * s > tol:
+                box *= 2
+                _check_box(k, box)
             box *= 2
             _check_box(k, box)
-        box *= 2
-        _check_box(k, box)
-    mid = (lo + hi) / 2
-    half = (hi - lo) / 2
-    assert lo <= exact <= hi
-    assert abs(mid - exact) <= tol
-    return float(mid), float(half)
+        enclosures.append((lo, hi))
+    rows = []
+    for exact, (lo, hi) in zip(pr_k_exact(k, n), enclosures):
+        mid = (lo + hi) / 2
+        assert lo <= exact <= hi
+        assert abs(mid - exact) <= tol
+        rows.append((exact, float(mid), float((hi - lo) / 2)))
+    return rows
 
 
 def _check_box(k, box):

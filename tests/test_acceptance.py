@@ -107,9 +107,11 @@ def test_criterion_06_pittel():
     ok = True
     for k in (1, 2, 3):
         exact = sp.pr_k_exact(k, 4)
+        rows = sp.pittel_rows(k, 4, 1e-6)
         for n in range(5):
             ok = ok and len(oracle.k_partial_rectangles(n, k)) == exact[n]
-            value, bound = sp.pittel_numeric(k, n, 1e-6)
+            count, value, bound = rows[n]
+            ok = ok and count == exact[n]
             ok = ok and bound <= 1e-6 and abs(value - exact[n]) <= 1e-6
     ok = ok and sp.pr_k_exact(2, 2)[2] == 3
     assert report(6, "k-tuple partial rectangles vs oracle (n<=4) and numeric sum at 1e-6", ok)

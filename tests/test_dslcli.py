@@ -503,12 +503,26 @@ def test_pittel_box_past_the_point_limit_exits_4(capsys):
 
 
 def test_pittel_box_limit_is_checked_before_the_exact_counts(capsys):
-    # Bell(30)^100000 is never formed: 9^100000 box points already exceed the limit
+    # neither Bell(30)^100000 nor e^(-100000)'s enclosure is formed: 9^100000
+    # box points already exceed the limit
     start = time.perf_counter()
     assert main(["table", "pittel", "--k", "100000", "--n", "30"]) == 4
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert err == "scale limit: pittel box sum over 9^100000 points exceeds 1000000\n"
+
+
+def test_pittel_table_forms_e_minus_k_and_the_exact_column_once(monkeypatch):
+    calls = {"pr_k_exact": 0, "_einv_enclosure": 0}
+    for name in calls:
+
+        def counting(*args, name=name, fn=getattr(sp, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(sp, name, counting)
+    cmd_table("pittel", 10, k=2)
+    assert calls == {"pr_k_exact": 1, "_einv_enclosure": 1}
 
 
 def test_prect_past_the_digit_limit_exits_4_before_the_transform(capsys):

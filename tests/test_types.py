@@ -4,12 +4,13 @@
 for the outer operand of a substitution and for the nodes whose type series
 does not follow from their operands' type series; an atom's type series is
 the Burnside sum of its fix-values.  The arithmetic product is
-the Dirichlet convolution of its operands' type series.  ``eval_ogf``
-specialises the whole cycle index (``zi_aprod`` for an arithmetic product)
-and is the independent route: on every expression both give the same
-counts, or both raise the same exception at the same node.  Burnside counts
-of the oracle check both, and the divisor-function and Lambert statements
-are pinned past the CLI's order cap.
+the Dirichlet convolution of its operands' type series.
+``zindex.zi_to_ogf`` of ``species.eval_zi`` specialises the whole cycle
+index (``zi_aprod`` for an arithmetic product) and is the independent
+route: on every expression both give the same counts, or both raise the
+same exception at the same node.  Burnside counts of the oracle check
+both, and the divisor-function and Lambert statements are pinned past the
+CLI's order cap.
 """
 
 import io
@@ -46,7 +47,7 @@ def _outcome(f, expr, n):
 
 
 def _ogf_counts(expr, n):
-    return [int(c) for c in sp.eval_ogf(expr, n).coeffs]
+    return [int(c) for c in zi.zi_to_ogf(sp.eval_zi(expr, n), n).coeffs]
 
 
 @settings(_SETTINGS, max_examples=200)

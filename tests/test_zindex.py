@@ -482,7 +482,7 @@ def test_atom_type_series_match_the_specialised_index():
     atoms = list(_every_atom())
     assert len(atoms) == 9 + 5 * 4
     for atom in atoms:
-        want = [int(c) for c in sp.eval_ogf(atom, 10).coeffs]
+        want = [int(c) for c in zi.zi_to_ogf(sp.eval_zi(atom, 10), 10).coeffs]
         assert sp.type_counts(atom, 10) == want, atom
         core = sp.core(atom)
         if core.fields == core.int_fields:
