@@ -414,8 +414,9 @@ def cmd_table(
         _check_order(n)
         # the count at n is at least Bell(n)^(k-1) (the first partition the finest,
         # the others free); past the digit limit, stop before the Stirling transform
-        _stop_past_digit_limit((k - 1) * (nk.bell(n).bit_length() - 1))
-        counts = sp.pr_k_exact(k, n)
+        bells = nk.bell_numbers(n)
+        _stop_past_digit_limit((k - 1) * (bells[n].bit_length() - 1))
+        counts = sp.pr_k_exact(k, n, bells)
         for i, v in enumerate(counts):
             payload_rows.append({"n": str(i), "k": str(k), "value": _dec(v)})
     elif kind == "mnr":

@@ -177,19 +177,6 @@ def lyndon_count(n: int, alpha: int) -> int:
 
 # -- integer partitions as multiplicity tuples --------------------------------
 
-def parts_to_mult(parts) -> tuple[int, ...]:
-    """Multiplicity tuple of a list of parts (any order)."""
-    parts = tuple(parts)
-    if not parts:
-        return ()
-    m = [0] * max(parts)
-    for p in parts:
-        if p < 1:
-            raise DomainError(f"partition part {p} must be positive")
-        m[p - 1] += 1
-    return tuple(m)
-
-
 def mult_to_parts(lam) -> tuple[int, ...]:
     """Descending part list of a multiplicity tuple."""
     parts = []
@@ -227,18 +214,19 @@ def int_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 0:
         raise DomainError(f"partitions of negative {n}")
-    out = []
+    out, mult = [], [0] * n
 
-    def rec(rest, biggest, acc):
+    def rec(rest, biggest, size):
+        # parts are chosen largest first, so the first one is the tuple's length
         if rest == 0:
-            out.append(parts_to_mult(tuple(acc)))
+            out.append(tuple(mult[:size]))
             return
         for p in range(min(rest, biggest), 0, -1):
-            acc.append(p)
-            rec(rest - p, p, acc)
-            acc.pop()
+            mult[p - 1] += 1
+            rec(rest - p, p, size or p)
+            mult[p - 1] -= 1
 
-    rec(n, n, [])
+    rec(n, n, 0)
     return tuple(out)
 
 

@@ -521,18 +521,19 @@ def partial_rect_mnr(m: int, n: int, r: int) -> int:
     return int(v)
 
 
-def pr_k_exact(k: int, order: int) -> list[int]:
+def pr_k_exact(k: int, order: int, bells=None) -> list[int]:
     """Counts of k-tuples of partitions with meet the finest partition.
 
     Exact route: the Hadamard k-th power of the Bell series has count
     B_n^k; substituting ln(1+x) undoes the e^x - 1 inside and yields the
     partial-rectangle series itself.  On counts that substitution is the
-    Stirling-1 transform of B_n^k.
+    Stirling-1 transform of B_n^k.  ``bells``, when given, is
+    ``nk.bell_numbers(order)`` already built.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     nk.check_order(order)
-    out = nk.stirling1_transform([b ** k for b in nk.bell_numbers(order)])
+    out = nk.stirling1_transform([b ** k for b in bells or nk.bell_numbers(order)])
     assert all(v >= 0 for v in out)
     return out
 

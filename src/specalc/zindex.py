@@ -22,17 +22,20 @@ with one exact division, fix = N aut(lam)/|lam|!, and works at the
 smaller of its operands' bounds.  ``type_series`` is the Burnside sum:
 the N of the types of weight n added up and divided by n!.
 
-The product and the arithmetic product share one walk, ``_pair_walk``,
-which grades both operands by weight (each term's weight computed once)
-and stops at the first pair of weight buckets with wa + wb, or wb * wg,
-above the bound, so no pair of terms that cannot survive the truncation
-is formed.  Plethysm builds the substituted power-sum product p_lam[q]
-of each partition from that of lam with one largest part removed (ibid.,
-section 4.3), so each distinct partition costs one truncated product,
-within ``ZI_PLETHYSM_PAIRS``.  ``ogf_plethysm`` walks the same partitions
-on integer type series: it substitutes g(x^i) for x_i, never forms the
-multivariate result, and leaves its one exact division to ``type_ints``.
-Both take their products from one memoised walk, ``_power_walk``.
+The product, the arithmetic product and plethysm share one walk,
+``_pair_walk``, on terms grouped by weight, {w: {lam: N}}: a kernel grades
+its operands once, at its entry, but the product's door, ``_mono_mul``,
+takes and returns ungraded {lam: N} dicts and grades them again.  The walk
+stops at the first pair of weight buckets with wa + wb, or wb * wg, above
+the bound, so no pair of terms that cannot survive the truncation is
+formed.  Plethysm builds the substituted power-sum product p_lam[q] of
+each partition from that of lam with one largest part removed (ibid.,
+section 4.3) and memoises these powers graded, so each distinct partition
+costs one truncated product within ``ZI_PLETHYSM_PAIRS`` and no power is
+graded again.  ``ogf_plethysm`` walks the same partitions on integer type
+series: it substitutes g(x^i) for x_i, never forms the multivariate
+result, and leaves its one exact division to ``type_ints``.  Both take
+their products from one memoised walk, ``_power_walk``.
 """
 
 from __future__ import annotations
@@ -170,9 +173,8 @@ def type_series(p: CycleIndex, order: int) -> tuple[int, ...]:
     """Type counts of the index to the order, on integers (Burnside's lemma)."""
     if order > p.bound:
         raise DomainError(f"order {order} exceeds weight bound {p.bound}")
-    totals = [0] * (order + 1)
-    for lam, n in _scaled(p.fix, order).items():
-        totals[nk.weight(lam)] += n
+    graded = _scaled(p.fix, order)
+    totals = [sum(graded.get(w, {}).values()) for w in range(order + 1)]
     return type_ints(totals, [nk.factorial(n) for n in range(order + 1)])
 
 
@@ -247,56 +249,65 @@ def _scale_parts(lam, factor):
 
 
 def _graded(terms):
-    """(weight, [(partition, value), ...]) buckets in ascending weight."""
-    buckets = {}
+    """{weight: {partition: value}} of a {partition: value} dict."""
+    graded = {}
     for lam, c in terms.items():
-        buckets.setdefault(nk.weight(lam), []).append((lam, c))
-    return sorted(buckets.items())
+        graded.setdefault(nk.weight(lam), {})[lam] = c
+    return graded
+
+
+def _flat(graded):
+    """{partition: value} of a {weight: {partition: value}} dict."""
+    return {lam: c for terms in graded.values() for lam, c in terms.items()}
 
 
 def _scaled(fix, bound):
-    """The {partition: fix} terms of weight at most bound as {partition: N}."""
-    return {lam: v * (nk.factorial(w) // nk.aut(lam))
-            for lam, v in fix.items() if (w := nk.weight(lam)) <= bound}
+    """The {partition: fix} terms of weight at most bound as {weight: {partition: N}}."""
+    return {w: {lam: v * (nk.factorial(w) // nk.aut(lam)) for lam, v in terms.items()}
+            for w, terms in _graded(fix).items() if w <= bound}
 
 
-def _unscaled(bound, scaled, den=1):
+def _unscaled(bound, graded, den=1):
     """The index of fix-values N aut(lam) / (den |lam|!), each one exact division."""
     fix = {}
-    for lam, n in scaled.items():
-        num, d = n * nk.aut(lam), den * nk.factorial(nk.weight(lam))
-        fix[lam] = num // d if num % d == 0 else Fraction(num, d)
+    for w, terms in graded.items():
+        d = den * nk.factorial(w)
+        for lam, n in terms.items():
+            num = n * nk.aut(lam)
+            fix[lam] = num // d if num % d == 0 else Fraction(num, d)
     return _of(bound, fix)
 
 
 def _pair_walk(a, b, bound, weigh, placements, join):
-    """placements(w, wa) N(la) N(lb) summed at join(la, lb) over the term pairs of two
-    {partition: N} dicts with w = weigh(wa, wb) at most bound; zero sums are dropped."""
+    """placements(w, wa) N(la) N(lb) summed at join(la, lb) in bucket w, over the term pairs
+    of two {w: {partition: N}} dicts with w = weigh(wa, wb) at most bound; zero sums dropped."""
     out = {}
-    graded_b = _graded(b)
-    for wa, terms_a in _graded(a):
+    graded_b = sorted(b.items())
+    for wa, terms_a in sorted(a.items()):
         for wb, terms_b in graded_b:
             w = weigh(wa, wb)
             if w > bound:
                 break
             count = placements(w, wa)
-            for la, na in terms_a:
+            acc = out.setdefault(w, {})
+            for la, na in terms_a.items():
                 na *= count
-                for lb, nb in terms_b:
+                for lb, nb in terms_b.items():
                     key = join(la, lb)
-                    out[key] = out.get(key, 0) + na * nb
-    return {k: v for k, v in out.items() if v}
+                    acc[key] = acc.get(key, 0) + na * nb
+    return {w: {k: v for k, v in terms.items() if v} for w, terms in out.items()}
 
 
 def _mono_mul(a, b, bound):
     """Product of two {partition: N} polynomials in the n!-scaled basis, truncated at weight bound."""
-    return _pair_walk(a, b, bound, add, nk.binomial, _add_mult)
+    return _flat(_pair_walk(_graded(a), _graded(b), bound, add, nk.binomial, _add_mult))
 
 
 def zi_mul(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     """Species product: polynomial multiplication in the x^lam basis."""
     bound = min(p.bound, q.bound)
-    return _unscaled(bound, _mono_mul(_scaled(p.fix, bound), _scaled(q.fix, bound), bound))
+    a, b = (_flat(_scaled(f.fix, bound)) for f in (p, q))
+    return _unscaled(bound, _graded(_mono_mul(a, b, bound)))
 
 
 def _drop_largest_part(lam):
@@ -329,35 +340,34 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     if () in q.fix:
         raise CompositionError("plethysm inner series has a weight-0 term")
     bound = min(p.bound, q.bound)
-    graded_q = _graded(_scaled(q.fix, bound))
+    graded_q = _scaled(q.fix, bound)
     scaled = {}
 
     def q_scaled(i):
         if i not in scaled:
-            scaled[i] = {
-                _scale_parts(lam, i): n * (nk.factorial(w * i) // nk.factorial(w))
-                for w, terms in graded_q
-                if w * i <= bound
-                for lam, n in terms
-            }
+            scaled[i] = {w * i: {_scale_parts(lam, i): n * (nk.factorial(w * i) // nk.factorial(w))
+                                 for lam, n in terms.items()}
+                         for w, terms in graded_q.items() if w * i <= bound}
         return scaled[i]
 
     pairs = 0
 
     def product(a, b):
         nonlocal pairs
-        pairs += len(a) * len(b)
+        pairs += sum(map(len, a.values())) * sum(map(len, b.values()))
         if pairs > ZI_PLETHYSM_PAIRS:
             raise ScaleLimit(f"plethysm at weight bound {bound} exceeds {ZI_PLETHYSM_PAIRS} term pairs")
-        return _mono_mul(a, b, bound)
+        return _pair_walk(a, b, bound, add, nk.binomial, _add_mult)
 
-    substituted = _power_walk({(): 1}, product, q_scaled)
+    substituted = _power_walk({0: {(): 1}}, product, q_scaled)
     fact = nk.factorial(bound)
     acc = {}
     for lam, v in _terms(p, bound).items():
         c = v * (fact // nk.aut(lam))
-        for mu, n in substituted(lam).items():
-            acc[mu] = acc.get(mu, 0) + c * n
+        for w, terms in substituted(lam).items():
+            bucket = acc.setdefault(w, {})
+            for mu, n in terms.items():
+                bucket[mu] = bucket.get(mu, 0) + c * n
     return _unscaled(bound, acc, fact)
 
 

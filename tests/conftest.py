@@ -4,8 +4,21 @@ import random
 from fractions import Fraction
 
 from specalc import species as sp
-from specalc.errors import PreconditionViolated
+from specalc.errors import DomainError, PreconditionViolated
 from specalc.series import TruncSeries
+
+
+def parts_to_mult(parts) -> tuple[int, ...]:
+    """Multiplicity tuple of a list of parts (any order): the reference for ``numkit.int_partitions``."""
+    parts = tuple(parts)
+    if not parts:
+        return ()
+    m = [0] * max(parts)
+    for p in parts:
+        if p < 1:
+            raise DomainError(f"partition part {p} must be positive")
+        m[p - 1] += 1
+    return tuple(m)
 
 
 def rand_series(rng: random.Random, order: int, zero_const: bool = False) -> TruncSeries:

@@ -525,6 +525,16 @@ def test_pittel_table_forms_e_minus_k_and_the_exact_column_once(monkeypatch):
     assert calls == {"pr_k_exact": 1, "_einv_enclosure": 1}
 
 
+def test_prect_table_builds_the_bell_numbers_once(monkeypatch):
+    # the digit-limit bound reads Bell(n) from the table pr_k_exact then transforms
+    calls = []
+    bell_numbers = nk.bell_numbers
+    monkeypatch.setattr(nk, "bell_numbers", lambda n: calls.append(n) or bell_numbers(n))
+    rows = cmd_table("prect", 30, k=3)["payload"]["rows"]
+    assert calls == [30]
+    assert [row["value"] for row in rows] == [str(v) for v in sp.pr_k_exact(3, 30)]
+
+
 def test_prect_past_the_digit_limit_exits_4_before_the_transform(capsys):
     # at n=2 the value is 2^k - 1: 4300 digits at k=14284, 4301 at k=14285;
     # from k=14286 the size bound Bell(2)^(k-1) stops it before the transform

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import parts_to_mult
 from specalc import numkit as nk
 from specalc import series as se
 from specalc import zindex as zi
@@ -159,7 +160,28 @@ def test_int_partitions_order_and_counts():
 def test_mult_part_roundtrip():
     for n in range(8):
         for lam in nk.int_partitions(n):
-            assert nk.parts_to_mult(nk.mult_to_parts(lam)) == lam
+            assert parts_to_mult(nk.mult_to_parts(lam)) == lam
+
+
+def _descending_part_lists(n, biggest):
+    """Partitions of n into parts at most biggest, as descending part lists, largest first."""
+    if n == 0:
+        yield ()
+    for p in range(min(n, biggest), 0, -1):
+        for rest in _descending_part_lists(n - p, p):
+            yield (p,) + rest
+
+
+def test_int_partitions_match_the_part_list_route():
+    # the generator builds multiplicity tuples directly; the reference builds
+    # every descending part list and converts it
+    for n in range(16):
+        lists = list(_descending_part_lists(n, n))
+        assert lists == sorted(lists, reverse=True), n
+        assert nk.int_partitions(n) == tuple(map(parts_to_mult, lists)), n
+    assert [len(nk.int_partitions(n)) for n in range(16)] == [
+        1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
+    ]
 
 
 def test_mult_to_parts_rejects_a_negative_multiplicity():

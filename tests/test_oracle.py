@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import parts_to_mult
 from specalc import dslcli
 from specalc import numkit as nk
 from specalc import oracle
@@ -621,7 +622,7 @@ def _cycle_type(perm):
             u = perm[u]
             size += 1
         sizes.append(size)
-    return nk.parts_to_mult(sizes)
+    return parts_to_mult(sizes)
 
 
 def test_necklace_periods_and_lyndon():

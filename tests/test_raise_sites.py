@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from conftest import parts_to_mult
 from specalc import dslcli
 from specalc import numkit as nk
 from specalc import oracle
@@ -28,7 +29,7 @@ RAISES = [
     (nk.rect_coeff, (0, 1), DomainError, "rectangle coefficient needs n >= 1, got 0"),
     (nk.lyndon_count, (0, 2), DomainError, "Lyndon count needs n >= 1, got 0"),
     (nk.lyndon_count, (3, -1), DomainError, "alphabet size must be nonnegative, got -1"),
-    (nk.parts_to_mult, ([0],), DomainError, "partition part 0 must be positive"),
+    (parts_to_mult, ([0],), DomainError, "partition part 0 must be positive"),
     (nk.int_partitions, (-1,), DomainError, "partitions of negative -1"),
     (nk.aprod_counts, ((1, 1), (0, 1)), ZeroConstantRequired,
      "arithmetic product operand has a nonzero constant term"),

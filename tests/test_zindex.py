@@ -3,7 +3,11 @@ import random
 import time
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ANY_POOL, rand_emptyfree
 from specalc import numkit as nk
@@ -11,7 +15,7 @@ from specalc import oracle
 from specalc import series as se
 from specalc import species as sp
 from specalc import zindex as zi
-from specalc.errors import CompositionError, DomainError, UnknownAtom, ZeroConstantRequired
+from specalc.errors import CompositionError, DomainError, ScaleLimit, UnknownAtom, ZeroConstantRequired
 from specalc.errors import PreconditionViolated
 from specalc.zindex import CycleIndex
 
@@ -329,11 +333,11 @@ def test_type_counts_of_partitions_past_the_cli_cap():
 def test_kernels_pair_only_terms_within_the_bound(monkeypatch):
     bound = 10
     pairs, calls = [], []
-    add_mult, mono_mul, box = zi._add_mult, zi._mono_mul, zi.box_type
+    add_mult, pair_walk, box = zi._add_mult, zi._pair_walk, zi.box_type
 
-    def counted_mono_mul(a, b, bnd):
+    def counted_walk(a, b, bnd, *rule):
         calls.append(bnd)
-        return mono_mul(a, b, bnd)
+        return pair_walk(a, b, bnd, *rule)
 
     def checked_add_mult(a, b):
         pairs.append(nk.weight(a) + nk.weight(b))
@@ -343,7 +347,7 @@ def test_kernels_pair_only_terms_within_the_bound(monkeypatch):
         pairs.append(nk.weight(beta) * nk.weight(gamma))
         return box(beta, gamma)
 
-    monkeypatch.setattr(zi, "_mono_mul", counted_mono_mul)
+    monkeypatch.setattr(zi, "_pair_walk", counted_walk)
     monkeypatch.setattr(zi, "_add_mult", checked_add_mult)
     monkeypatch.setattr(zi, "box_type", checked_box)
     par = zi.zi_plethysm(zi.zi_atom("E", bound), sp.eval_zi(sp.Eplus(), bound))
@@ -412,17 +416,37 @@ def _reference_mul(p, q):
     return _from_monomials(bound, _mono_mul(_monomials(p, bound), _monomials(q, bound), bound))
 
 
+def _substituted(inner, i, bound):
+    """q(x_i, x_2i, ...) from q's monomials, without the terms past the bound."""
+    return {zi._scale_parts(mu, i): cm for mu, cm in inner.items() if nk.weight(mu) * i <= bound}
+
+
+def _reference_power(parts, inner, bound):
+    """The product of q(x_i, x_2i, ...) over the parts i, formed afresh."""
+    power = {(): Fraction(1)}
+    for i in parts:
+        power = _mono_mul(power, _substituted(inner, i, bound), bound)
+    return power
+
+
 def _reference_plethysm(p, q):
     bound = min(p.bound, q.bound)
     inner = _monomials(q, bound)
     acc = {}
     for lam, c in _monomials(p, bound).items():
-        power = {(): Fraction(1)}  # the product of q(x_i, x_2i, ...) over the parts i of lam
-        for i in nk.mult_to_parts(lam):
-            power = _mono_mul(power, {zi._scale_parts(mu, i): cm for mu, cm in inner.items()}, bound)
-        for mu, cm in power.items():
+        for mu, cm in _reference_power(nk.mult_to_parts(lam), inner, bound).items():
             acc[mu] = acc.get(mu, Fraction(0)) + c * cm
     return _from_monomials(bound, acc)
+
+
+def _reference_plethysm_pairs(p, q):
+    """Sum of |a| |b| over the products of a memoised walk: one per distinct nonempty tail
+    of a descending part list of p, the power of the tail's rest times q(x_i, x_2i, ...)."""
+    bound = min(p.bound, q.bound)
+    inner = _monomials(q, bound)
+    tails = {parts[k:] for parts in map(nk.mult_to_parts, _monomials(p, bound)) for k in range(len(parts))}
+    return sum(len(_reference_power(tail[1:], inner, bound)) * len(_substituted(inner, tail[0], bound))
+               for tail in tails)
 
 
 def _reference_aprod(p, q):
@@ -469,6 +493,19 @@ def test_integer_kernels_match_the_monomial_route():
         p, q = sp.eval_zi(f, 7), sp.eval_zi(g, 6)
         for kernel, reference, _ in kernels:
             assert kernel(p, q) == reference(p, q), (kernel.__name__, f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 8), st.sampled_from(("E", "C", "S", "L")))
+def test_graded_plethysm_matches_the_all_pairs_reference(seed, bound, outer):
+    # an inner index from a random empty-free tree; the charge is exact, as
+    # ZI_PLETHYSM_PAIRS at the reference's sum admits the plethysm and one less refuses it
+    p, q = zi.zi_atom(outer, bound), sp.eval_zi(rand_emptyfree(random.Random(seed)), bound)
+    want, charge = _reference_plethysm(p, q), _reference_plethysm_pairs(p, q)
+    with mock.patch.object(zi, "ZI_PLETHYSM_PAIRS", charge):
+        assert zi.zi_plethysm(p, q) == want
+    with mock.patch.object(zi, "ZI_PLETHYSM_PAIRS", charge - 1), pytest.raises(ScaleLimit):
+        zi.zi_plethysm(p, q)
 
 
 def _every_atom():
