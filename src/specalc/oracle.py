@@ -19,7 +19,6 @@ Every entry point reads the labels or permutation it is given through
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from operator import and_
@@ -508,12 +507,11 @@ def fix_by_type(expr, lam) -> int:
 
 
 def orbit_type_count(expr, n: int) -> int:
-    """Number of isomorphism types on an n-set, by averaging fix counts."""
-    total = Fraction(0)
-    for lam in nk.int_partitions(n):
-        total += Fraction(fix_count(expr, perm_of_type(lam)), nk.aut(lam))
-    assert total.denominator == 1
-    return int(total)
+    """Number of isomorphism types on an n-set, by averaging fix counts over S_n."""
+    fact = nk.factorial(n)
+    total = sum(fix_count(expr, perm_of_type(lam)) * (fact // nk.aut(lam)) for lam in nk.int_partitions(n))
+    assert total % fact == 0
+    return total // fact
 
 
 # -- matrices and induced permutations ----------------------------------------------------

@@ -516,9 +516,9 @@ def mnr_formula(m: int, n: int, r: int) -> int:
 
 def partial_rect_mnr(m: int, n: int, r: int) -> int:
     """Number of m x n partial rectangles on r elements: r! M(m,n,r) / (m! n!)."""
-    v = Fraction(nk.factorial(r) * mnr_formula(m, n, r), nk.factorial(m) * nk.factorial(n))
-    assert v.denominator == 1 and v >= 0
-    return int(v)
+    v, rem = divmod(nk.factorial(r) * mnr_formula(m, n, r), nk.factorial(m) * nk.factorial(n))
+    assert rem == 0 and v >= 0
+    return v
 
 
 def pr_k_exact(k: int, order: int, bells=None) -> list[int]:

@@ -1,26 +1,30 @@
 """Cycle-index polynomials in x_1, x_2, ... truncated by total weight.
 
 A ``CycleIndex`` maps integer partitions (numkit multiplicity tuples) to
-exact fix-values; the polynomial it denotes is
+integer fix-values; the polynomial it denotes is
 
     sum over lam of  fix[lam] * x^lam / aut(lam).
 
-Terms from outside this module enter through ``CycleIndex(bound, fix)``,
-which rejects a key that is not a partition within the bound, as
-``fix_value`` and ``coeff`` do; a kernel's terms, formed from checked
-operands, are stored through ``_of`` unchecked.  Zero values are never
-stored; an integral value is stored as an ``int``, any other as a
-``Fraction``.  The sum, the Hadamard product and pointing act directly on
+A fix-value counts the structures a permutation of type lam fixes, and
+every operation forms fix-values as integer sums of products, so ``int``
+is the one value type; only the monomial coefficients fix/aut(lam)
+(``coeff``, ``rows``, ``zi_to_ogf``) are ``Fraction``.  Terms from outside
+this module enter through ``CycleIndex(bound, fix)``, which rejects a
+value that is not an ``int`` and a key that is not a partition within the
+bound, as ``fix_value`` and ``coeff`` do; a kernel's terms, formed from
+checked operands, are stored through ``_of`` unchecked.  Zero values are
+never stored.  The sum, the Hadamard product and pointing act directly on
 fix-values.  The product, plethysm and arithmetic product work on the
 integers N(lam) = fix[lam] |lam|!/aut(lam), the pairs (permutation of type
 lam, structure it fixes) (Bergeron, Labelle and Leroux, Combinatorial
-Species and Tree-like Structures): a product adds C(|m|+|n|, |m|) N(m) N(n)
-at m + n, an arithmetic product (|b||g|)!/(|b|! |g|!) N(b) N(g) at b box g,
-and x_i -> x_(ki) takes N(m) to (k|m|)!/|m|! N(m) at k m; plethysm sums
-over the common denominator bound!.  Each kernel returns to fix-values
-with one exact division, fix = N aut(lam)/|lam|!, and works at the
-smaller of its operands' bounds.  ``type_series`` is the Burnside sum:
-the N of the types of weight n added up and divided by n!.
+Species and Tree-like Structures): a product adds
+C(|m|+|n|, |m|) N(m) N(n) at m + n, an arithmetic product
+(|b||g|)!/(|b|! |g|!) N(b) N(g) at b box g, and x_i -> x_(ki) takes N(m)
+to (k|m|)!/|m|! N(m) at k m; plethysm sums over the common denominator
+bound!.  Each kernel returns to fix-values with one exact division,
+fix = N aut(lam)/|lam|!, and works at the smaller of its operands' bounds.
+``type_series`` is the Burnside sum: the N of the types of weight n added
+up and divided by n!.
 
 The product, the arithmetic product and plethysm share one walk,
 ``_pair_walk``, on terms grouped by weight, {w: {lam: N}}: a kernel grades
@@ -59,7 +63,11 @@ class CycleIndex:
     def __init__(self, bound, fix=None):
         if bound < 0:
             raise DomainError(f"weight bound must be >= 0, got {bound}")
-        checked = {_key(lam, bound): nk.exact(v) for lam, v in (fix or {}).items()}
+        checked = {}
+        for lam, v in (fix or {}).items():
+            checked[_key(lam, bound)] = v
+            if type(v) is not int:
+                raise DomainError(f"fix-value {v!r} is not an int")
         self.bound, self.fix = bound, _of(bound, checked).fix
 
     def fix_value(self, lam):
@@ -99,11 +107,10 @@ def _key(lam, bound):
 
 
 def _of(bound, fix):
-    """The index of {partition: int or Fraction} terms whose keys need no check."""
+    """The index of {partition: int} terms whose keys need no check; zero values dropped."""
     p = object.__new__(CycleIndex)
     p.bound = bound
-    p.fix = {lam: v if type(v) is int or v.denominator > 1 else v.numerator
-             for lam, v in fix.items() if v}
+    p.fix = {lam: v for lam, v in fix.items() if v}
     return p
 
 
@@ -147,6 +154,7 @@ def _atom(name):
 def atom_counts(name: str, order: int, *params) -> tuple[int, ...]:
     """The named atom's labelled counts to the order: its fix-values at the identity types."""
     fix = _atom(name)
+    nk.check_order(order)
     return tuple(fix((n,) if n else (), n, *params) for n in range(order + 1))
 
 
@@ -158,6 +166,7 @@ def zi_atom(name: str, bound: int, *params) -> CycleIndex:
     those are visited.
     """
     fix = _atom(name)
+    nk.check_order(bound)
     if name in ("E", "S"):
         types = [(lam, w) for w in range(bound + 1) for lam in nk.int_partitions(w)]
     else:
@@ -171,6 +180,7 @@ def zi_atom(name: str, bound: int, *params) -> CycleIndex:
 
 def type_series(p: CycleIndex, order: int) -> tuple[int, ...]:
     """Type counts of the index to the order, on integers (Burnside's lemma)."""
+    nk.check_order(order)
     if order > p.bound:
         raise DomainError(f"order {order} exceeds weight bound {p.bound}")
     graded = _scaled(p.fix, order)
@@ -273,8 +283,7 @@ def _unscaled(bound, graded, den=1):
     for w, terms in graded.items():
         d = den * nk.factorial(w)
         for lam, n in terms.items():
-            num = n * nk.aut(lam)
-            fix[lam] = num // d if num % d == 0 else Fraction(num, d)
+            fix[lam] = n * nk.aut(lam) // d
     return _of(bound, fix)
 
 
@@ -453,17 +462,6 @@ def zi_aprod(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     bound = min(p.bound, q.bound)
     a, b = _scaled(p.fix, bound), _scaled(q.fix, bound)
     return _unscaled(bound, _pair_walk(a, b, bound, mul, nk.rect_coeff, box_type))
-
-
-def zi_to_egf(p: CycleIndex, order: int) -> TruncSeries:
-    """Specialize x_1 <- x, the rest 0: the exponential series."""
-    if order > p.bound:
-        raise DomainError(f"order {order} exceeds weight bound {p.bound}")
-    cs = []
-    for n in range(order + 1):
-        lam = (n,) if n else ()
-        cs.append(Fraction(p.fix.get(lam, 0), nk.factorial(n)))
-    return TruncSeries(cs)
 
 
 def zi_to_ogf(p: CycleIndex, order: int) -> TruncSeries:

@@ -21,6 +21,11 @@ def parts_to_mult(parts) -> tuple[int, ...]:
     return tuple(m)
 
 
+def labelled_counts(p, order) -> list[int]:
+    """An index's labelled counts to the order: its fix-values at the identity types () and (n,)."""
+    return [p.fix_value((n,) if n else ()) for n in range(order + 1)]
+
+
 def rand_series(rng: random.Random, order: int, zero_const: bool = False) -> TruncSeries:
     cs = [Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(order + 1)]
     if zero_const:

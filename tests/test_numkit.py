@@ -7,7 +7,6 @@ import pytest
 from conftest import parts_to_mult
 from specalc import numkit as nk
 from specalc import series as se
-from specalc import zindex as zi
 from specalc.errors import DomainError
 
 
@@ -21,7 +20,6 @@ def test_exact_passes_ints_and_fractions_unchanged():
 
 # Every door that turns a caller's value into a stored coefficient.
 _DOORS = {
-    "CycleIndex": lambda v: zi.CycleIndex(1, {(1,): v}),
     "TruncSeries": lambda v: se.TruncSeries([0, v]),
     "TruncSeries.from_counts": lambda v: se.TruncSeries.from_counts([0, v]),
     "TruncSeries.__mul__": lambda v: se.TruncSeries([0, 1]) * v,

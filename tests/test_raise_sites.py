@@ -50,6 +50,9 @@ RAISES = [
     (sp.cyclotomic_check, (0, 3), DomainError, "alpha must be >= 1, got 0"),
     (zi.CycleIndex, (-1,), DomainError, "weight bound must be >= 0, got -1"),
     (zi.zi_to_ogf, (zi.zi_atom("E", 4), 5), DomainError, "order 5 exceeds weight bound 4"),
+    (zi.zi_atom, ("E", -1), DomainError, "order must be nonnegative, got -1"),
+    (zi.atom_counts, ("E", -1), DomainError, "order must be nonnegative, got -1"),
+    (zi.type_series, (zi.zi_atom("E", 3), -1), DomainError, "order must be nonnegative, got -1"),
     (TruncSeries, ([],), DomainError,
      "a truncated series needs at least its constant coefficient"),
     (TruncSeries([1, 2, 3]).truncate, (3,), DomainError, "cannot extend order 2 series to 3"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ANY_POOL, rand_emptyfree
+from conftest import ANY_POOL, labelled_counts, rand_emptyfree
 from specalc import numkit as nk
 from specalc import oracle
 from specalc import series as se
@@ -91,7 +92,7 @@ def test_zi_mul():
     assert sq.fix == {(2,): 2}
     ze = zi.zi_atom("E", 6)
     subsets = zi.zi_mul(ze, ze)
-    assert zi.zi_to_egf(subsets, 6).counts() == [2 ** n for n in range(7)]
+    assert labelled_counts(subsets, 6) == [2 ** n for n in range(7)]
 
 
 def test_zi_mul_matches_oracle():
@@ -104,7 +105,7 @@ def test_zi_mul_matches_oracle():
 
 def test_plethysm_partitions():
     par = zi.zi_plethysm(zi.zi_atom("E", 6), sp.eval_zi(sp.Eplus(), 6))
-    assert zi.zi_to_egf(par, 6).counts() == [nk.bell(n) for n in range(7)]
+    assert labelled_counts(par, 6) == [nk.bell(n) for n in range(7)]
     expr = sp.Subst(sp.E(), sp.Eplus())
     for w in range(5):
         for lam in nk.int_partitions(w):
@@ -123,9 +124,8 @@ def test_plethysm_identities():
 def test_ogf_plethysm_is_the_specialised_plethysm():
     b = 7
     inner = [zi.zi_atom(a, b) for a in ("X", "C")] + [sp.eval_zi(sp.Lplus(), b)]
-    # fractional fix-values: 3/4 x1^2 + 1/4 x2 has integral type counts
-    # under X, a fractional one at 3 under C
-    halves = CycleIndex(b, {(2,): Fraction(3, 2), (0, 1): Fraction(1, 2)})
+    # an integer index that is no species' index: x1^2/2 has type count 1/2 at 2
+    halves = CycleIndex(b, {(2,): 1})
     for p in [zi.zi_atom(a, b) for a in ("1", "X", "E", "L", "C", "S")] + [halves]:
         for q in inner:
             want = zi.zi_to_ogf(zi.zi_plethysm(p, q), b).coeffs
@@ -220,14 +220,14 @@ def test_zi_point():
 
 
 def test_specializations():
-    assert zi.zi_to_egf(zi.zi_atom("C", 8), 8) == se.TruncSeries(
+    assert se.TruncSeries.from_counts(labelled_counts(zi.zi_atom("C", 8), 8)) == se.TruncSeries(
         [0] + [Fraction(1, n) for n in range(1, 9)]
     )
     assert zi.zi_to_ogf(zi.zi_atom("E", 8), 8) == se.TruncSeries.geometric(8)
     dd = zi.zi_to_ogf(zi.zi_aprod(sp.eval_zi(sp.Lplus(), 8), sp.eval_zi(sp.Lplus(), 8)), 8)
     assert [int(c) for c in dd.coeffs] == [0] + [nk.tau(n) for n in range(1, 9)]
-    with pytest.raises(DomainError):
-        zi.zi_to_egf(zi.zi_atom("E", 3), 5)
+    with pytest.raises(DomainError, match=r"key \(4,\) exceeds weight bound 3"):
+        labelled_counts(zi.zi_atom("E", 3), 5)
 
 
 def test_specializations_commute_with_aprod():
@@ -235,7 +235,8 @@ def test_specializations_commute_with_aprod():
     for ea, eb in itertools.product(atoms, repeat=2):
         pa, pb = sp.eval_zi(ea, 10), sp.eval_zi(eb, 10)
         prod = zi.zi_aprod(pa, pb)
-        assert zi.zi_to_egf(prod, 10) == se.aprod_egf(zi.zi_to_egf(pa, 10), zi.zi_to_egf(pb, 10))
+        egf = [se.TruncSeries.from_counts(labelled_counts(z, 10)) for z in (prod, pa, pb)]
+        assert egf[0] == se.aprod_egf(egf[1], egf[2])
         assert zi.zi_to_ogf(prod, 10) == se.aprod_egf(zi.zi_to_ogf(pa, 10), zi.zi_to_ogf(pb, 10))
 
 
@@ -244,7 +245,7 @@ def _random_sparse(rng, bound):
     for _ in range(rng.randint(1, 5)):
         w = rng.randint(1, bound)
         lam = rng.choice(nk.int_partitions(w))
-        fix[lam] = Fraction(rng.randint(1, 20), rng.randint(1, 6))
+        fix[lam] = rng.randint(1, 20)
     return CycleIndex(bound, fix)
 
 
@@ -252,8 +253,10 @@ def test_zi_aprod_commutative_associative():
     rng = random.Random(12)
     for _ in range(25):
         p, q, r = (_random_sparse(rng, 8) for _ in range(3))
-        assert zi.zi_aprod(p, q) == zi.zi_aprod(q, p)
-        assert zi.zi_aprod(p, zi.zi_aprod(q, r)) == zi.zi_aprod(zi.zi_aprod(p, q), r)
+        pq = zi.zi_aprod(p, q)
+        assert pq == zi.zi_aprod(q, p)
+        assert zi.zi_aprod(p, zi.zi_aprod(q, r)) == zi.zi_aprod(pq, r)
+        assert all(type(v) is int for v in pq.fix.values())
 
 
 def test_tuple_decomposition_coefficients():
@@ -373,7 +376,7 @@ def _every_node_on(operands):
 
 
 def test_every_cycle_index_rule_matches_the_oracle_at_every_partition():
-    # zi_to_egf reads only the identity column (n,): this checks every fix-value
+    # labelled counts read only the identity column (n,): this checks every fix-value
     kinds = set()
     for expr in _every_node_on((sp.C(), sp.Lplus(), sp.S())):
         try:
@@ -398,7 +401,9 @@ def _monomials(p, bound):
 
 
 def _from_monomials(bound, mono):
-    return CycleIndex(bound, {lam: c * nk.aut(lam) for lam, c in mono.items() if c})
+    fix = {lam: c * nk.aut(lam) for lam, c in mono.items() if c}
+    assert all(v.denominator == 1 for v in fix.values()), fix
+    return CycleIndex(bound, {lam: int(v) for lam, v in fix.items()})
 
 
 def _mono_mul(a, b, bound):
@@ -460,13 +465,12 @@ def _reference_aprod(p, q):
     return _from_monomials(bound, acc)
 
 
-def _random_index(rng, bound, fractional, constant):
-    """Up to eight random terms; fractional values with small denominators when asked."""
+def _random_index(rng, bound, constant):
+    """Up to eight random integer terms, of either sign."""
     fix = {}
     for _ in range(rng.randint(0, 8)):
         lam = rng.choice(nk.int_partitions(rng.randint(0 if constant else 1, bound)))
-        den = rng.randint(1, 6) if fractional else 1
-        fix[lam] = Fraction(rng.randint(-30, 30), den)
+        fix[lam] = rng.randint(-30, 30)
     return CycleIndex(bound, fix)
 
 
@@ -477,17 +481,13 @@ def test_integer_kernels_match_the_monomial_route():
         (zi.zi_plethysm, _reference_plethysm, False),
         (zi.zi_aprod, _reference_aprod, False),
     )
-    fractional_results = 0
-    for trial in range(150):
-        fractional = trial % 2 == 1
+    for _ in range(150):
         for kernel, reference, constant in kernels:
-            p = _random_index(rng, rng.randint(3, 7), fractional, constant)
-            q = _random_index(rng, rng.randint(3, 7), fractional, constant)
+            p = _random_index(rng, rng.randint(3, 7), constant)
+            q = _random_index(rng, rng.randint(3, 7), constant)
             got = kernel(p, q)
             assert got == reference(p, q), (kernel.__name__, p.fix, q.fix)
-            assert all(type(v) is int or v.denominator > 1 for v in got.fix.values())
-            fractional_results += any(type(v) is Fraction for v in got.fix.values())
-    assert fractional_results > 50
+            assert all(type(v) is int for v in got.fix.values())
     # species operands, which have only integer fix-values
     for f, g in itertools.product((sp.Eplus(), sp.C(), sp.Lplus(), sp.Splus()), repeat=2):
         p, q = sp.eval_zi(f, 7), sp.eval_zi(g, 6)
@@ -543,11 +543,10 @@ def test_no_float_enters_a_cycle_index_or_its_series(monkeypatch):
     exprs = list(_every_atom()) + [rand_emptyfree(rng) for _ in range(40)]
     for expr in exprs:
         z = sp.eval_zi(expr, 6)
-        assert {type(v) for v in z.fix.values()} <= {int, Fraction}, expr
+        assert {type(v) for v in z.fix.values()} <= {int}, expr
         for lam, fix, coeff in z.rows():
-            assert type(fix) in (int, Fraction) and type(coeff) is Fraction, (expr, lam)
-        for series in (zi.zi_to_ogf(z, 6), zi.zi_to_egf(z, 6)):
-            assert all(type(c) is Fraction for c in series.coeffs), expr
+            assert type(fix) is int and type(coeff) is Fraction, (expr, lam)
+        assert all(type(c) is Fraction for c in zi.zi_to_ogf(z, 6).coeffs), expr
     assert handed and set(handed) <= {int, Fraction}
 
 
@@ -583,10 +582,19 @@ def test_atom_counts_are_the_fix_values_at_the_identity_types():
         zi.atom_counts("Par", 3)
 
 
+@pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(4, 2), 0.5, 0.1, True, "1", "1/3"],
+                         ids=["Fraction-1/3", "Fraction-4/2", "0.5", "0.1", "True", "str-1", "str-1/3"])
+def test_the_door_admits_only_int_fix_values(value):
+    # a fix-value counts fixed structures: an integral Fraction is refused too
+    with pytest.raises(DomainError, match=f"fix-value {re.escape(repr(value))} is not an int"):
+        CycleIndex(1, {(1,): value})
+    assert CycleIndex(1, {(1,): 2, (): 0}).fix == {(1,): 2}
+
+
 def _assert_stored_as_the_door_stores(r):
-    """r holds what ``CycleIndex(r.bound, r.fix)`` would: checked keys, no zero, exact values."""
+    """r holds what ``CycleIndex(r.bound, r.fix)`` would: checked keys, no zero, int values."""
     assert CycleIndex(r.bound, r.fix) == r
-    assert all(v and (type(v) is int or v.denominator > 1) for v in r.fix.values()), r.fix
+    assert all(v and type(v) is int for v in r.fix.values()), r.fix
 
 
 def _every_kernel(p, q):
@@ -616,11 +624,10 @@ def test_every_kernel_stores_what_the_door_would_store():
         for r in _every_kernel(rng.choice(pool), rng.choice(pool)):
             _assert_stored_as_the_door_stores(r)
             built += 1
-    # outside indices: fractional, negative and at unequal bounds
+    # outside indices: negative and at unequal bounds
     for trial in range(150):
         constant = trial % 3 != 0
-        p, q = (_random_index(rng, rng.randint(1 - constant, 7), trial % 2 == 1, constant)
-                for _ in range(2))
+        p, q = (_random_index(rng, rng.randint(1 - constant, 7), constant) for _ in range(2))
         for r in _every_kernel(p, q):
             _assert_stored_as_the_door_stores(r)
             built += 1
