@@ -34,7 +34,10 @@ def exact(value):
 
 
 def check_order(order: int) -> None:
-    """DomainError for a negative truncation order: the one order check of the package."""
+    """DomainError for a truncation order that is not a nonnegative int (a bool is refused):
+    the one order check of the package."""
+    if type(order) is not int:
+        raise DomainError(f"order must be an int, got {order!r}")
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
 

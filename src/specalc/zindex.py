@@ -27,9 +27,10 @@ fix = N aut(lam)/|lam|!, and works at the smaller of its operands' bounds.
 up and divided by n!.
 
 The product, the arithmetic product and plethysm share one walk,
-``_pair_walk``, on terms grouped by weight, {w: {lam: N}}: a kernel grades
-its operands once, at its entry, but the product's door, ``_mono_mul``,
-takes and returns ungraded {lam: N} dicts and grades them again.  The walk
+``_pair_walk``, on terms grouped by weight, {w: {lam: N}}: ``_scaled``
+weighs, truncates and scales each operand term once, at the kernel's entry
+(the product's is ``_mono_mul``, which takes the operands' {lam: fix}
+dicts), and ``_unscaled`` reads the walk's graded result as it is.  The walk
 stops at the first pair of weight buckets with wa + wb, or wb * wg, above
 the bound, so no pair of terms that cannot survive the truncation is
 formed.  Plethysm builds the substituted power-sum product p_lam[q] of
@@ -61,8 +62,7 @@ class CycleIndex:
     __slots__ = ("bound", "fix")
 
     def __init__(self, bound, fix=None):
-        if bound < 0:
-            raise DomainError(f"weight bound must be >= 0, got {bound}")
+        nk.check_order(bound)
         checked = {}
         for lam, v in (fix or {}).items():
             checked[_key(lam, bound)] = v
@@ -258,23 +258,15 @@ def _scale_parts(lam, factor):
     return tuple(out)
 
 
-def _graded(terms):
-    """{weight: {partition: value}} of a {partition: value} dict."""
-    graded = {}
-    for lam, c in terms.items():
-        graded.setdefault(nk.weight(lam), {})[lam] = c
-    return graded
-
-
-def _flat(graded):
-    """{partition: value} of a {weight: {partition: value}} dict."""
-    return {lam: c for terms in graded.values() for lam, c in terms.items()}
-
-
 def _scaled(fix, bound):
-    """The {partition: fix} terms of weight at most bound as {weight: {partition: N}}."""
-    return {w: {lam: v * (nk.factorial(w) // nk.aut(lam)) for lam, v in terms.items()}
-            for w, terms in _graded(fix).items() if w <= bound}
+    """The {partition: fix} terms of weight at most bound as {weight: {partition: N}};
+    each term is weighed once and only a kept one is scaled."""
+    graded = {}
+    for lam, v in fix.items():
+        w = nk.weight(lam)
+        if w <= bound:
+            graded.setdefault(w, {})[lam] = v * (nk.factorial(w) // nk.aut(lam))
+    return graded
 
 
 def _unscaled(bound, graded, den=1):
@@ -308,15 +300,14 @@ def _pair_walk(a, b, bound, weigh, placements, join):
 
 
 def _mono_mul(a, b, bound):
-    """Product of two {partition: N} polynomials in the n!-scaled basis, truncated at weight bound."""
-    return _flat(_pair_walk(_graded(a), _graded(b), bound, add, nk.binomial, _add_mult))
+    """Product of two {partition: fix} dicts as {weight: {partition: N}}, truncated at weight bound."""
+    return _pair_walk(_scaled(a, bound), _scaled(b, bound), bound, add, nk.binomial, _add_mult)
 
 
 def zi_mul(p: CycleIndex, q: CycleIndex) -> CycleIndex:
     """Species product: polynomial multiplication in the x^lam basis."""
     bound = min(p.bound, q.bound)
-    a, b = (_flat(_scaled(f.fix, bound)) for f in (p, q))
-    return _unscaled(bound, _graded(_mono_mul(a, b, bound)))
+    return _unscaled(bound, _mono_mul(p.fix, q.fix, bound))
 
 
 def _drop_largest_part(lam):

@@ -8,6 +8,8 @@ benchmark run that fails to start.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +18,8 @@ import pytest
 import specalc
 import specalc.dslcli  # noqa: F401  (loads the modules the harness reads)
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +56,26 @@ def test_traced_names_resolve(bench):
 def test_traced_caches_have_cache_info():
     assert hasattr(specalc.species._egf, "cache_info")
     assert hasattr(specalc.oracle._enum, "cache_info")
+
+
+# ``Tracer.install`` rebinds program functions at module level, so the traced
+# run goes in a child process, never in this one.
+_TRACED_PRODUCT = """
+import tracer
+from specalc import dslcli
+t = tracer.Tracer()
+t.install()
+t.begin(0)
+status = dslcli.main(["zindex", "C * comp(E, Lp)", "--n", "6"])
+layers = t.end(0)
+assert status == 0, status
+assert layers["zindex.mono_mul_calls"] == 1, layers
+assert layers["zindex.mono_mul_pairs"] > 0, layers
+"""
+
+
+def test_the_product_hook_reads_mono_mul():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "bench")))
+    run = subprocess.run([sys.executable, "-B", "-c", _TRACED_PRODUCT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

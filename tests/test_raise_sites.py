@@ -48,7 +48,7 @@ RAISES = [
     (sp.pittel_rows, (0, 1, 1e-6), DomainError, "need k >= 1, got 0"),
     (sp.pittel_rows, (1, -1, 1e-6), DomainError, "order must be nonnegative, got -1"),
     (sp.cyclotomic_check, (0, 3), DomainError, "alpha must be >= 1, got 0"),
-    (zi.CycleIndex, (-1,), DomainError, "weight bound must be >= 0, got -1"),
+    (zi.CycleIndex, (-1,), DomainError, "order must be nonnegative, got -1"),
     (zi.zi_to_ogf, (zi.zi_atom("E", 4), 5), DomainError, "order 5 exceeds weight bound 4"),
     (zi.zi_atom, ("E", -1), DomainError, "order must be nonnegative, got -1"),
     (zi.atom_counts, ("E", -1), DomainError, "order must be nonnegative, got -1"),
@@ -69,6 +69,27 @@ RAISES = [
 )
 def test_public_raise_site(fn, args, error, message):
     with pytest.raises(error, match=message):
+        fn(*args)
+
+
+# Orders that are not ints, refused by the one order check; a table of their
+# own, so the rows above keep their ids.
+NOT_INT_ORDERS = [
+    pytest.param(zi.CycleIndex, (2.5,), id="CycleIndex(2.5)"),
+    pytest.param(zi.CycleIndex, (True, {(1,): 1}), id="CycleIndex(True)"),
+    pytest.param(sp.eval_counts, (sp.E(), True), id="eval_counts(E, True)"),
+    pytest.param(sp.eval_counts, (sp.E(), 2.5), id="eval_counts(E, 2.5)"),
+    pytest.param(sp.eval_zi, (sp.E(), 2.5), id="eval_zi(E, 2.5)"),
+    pytest.param(sp.type_counts, (sp.E(), 2.5), id="type_counts(E, 2.5)"),
+    pytest.param(zi.zi_atom, ("E", 2.5), id="zi_atom(E, 2.5)"),
+    pytest.param(zi.atom_counts, ("E", 2.5), id="atom_counts(E, 2.5)"),
+    pytest.param(sp.pittel_rows, (1, 2.5, 1e-6), id="pittel_rows(1, 2.5)"),
+]
+
+
+@pytest.mark.parametrize("fn, args", NOT_INT_ORDERS)
+def test_an_order_that_is_not_an_int_is_refused(fn, args):
+    with pytest.raises(DomainError, match="order must be an int, got "):
         fn(*args)
 
 

@@ -363,6 +363,23 @@ def test_kernels_pair_only_terms_within_the_bound(monkeypatch):
     assert pairs and max(pairs) <= bound
 
 
+def test_kernels_weigh_each_operand_term_once(monkeypatch):
+    weigh, weighed = nk.weight, []
+
+    def counted(lam):
+        weighed.append(lam)
+        return weigh(lam)
+
+    s, c = sp.eval_zi(sp.S(), 8), sp.eval_zi(sp.C(), 8)
+    splus, eplus = sp.eval_zi(sp.Splus(), 8), sp.eval_zi(sp.Eplus(), 8)
+    monkeypatch.setattr(nk, "weight", counted)
+    for kernel, operands in ((zi.zi_mul, (s, c)), (zi.zi_aprod, (splus, eplus)),
+                             (lambda p: zi.type_series(p, 8), (s,))):
+        weighed.clear()
+        kernel(*operands)
+        assert sorted(weighed) == sorted(lam for p in operands for lam in p.fix)
+
+
 def _every_node_on(operands):
     """One node per class but maprod and hct, over the operands and small integers."""
     yield from (cls() for cls in (sp.One, sp.X, sp.E, sp.Eplus, sp.L, sp.Lplus, sp.C, sp.S, sp.Splus))
