@@ -400,8 +400,7 @@ def cmd_table(
         _check_order(n)
         if kind == "rect":
             k = 2
-        elif k < 1:
-            raise DomainError("k must be >= 1")
+        nk.check_k(k)
         # the value at the largest 2^a <= n is at least C(a + k - 1, a), one
         # rectangle per ordered factorization of 2^a into k powers of two
         a = max(n.bit_length() - 1, 0)
@@ -414,9 +413,8 @@ def cmd_table(
         _check_order(n)
         # the count at n is at least Bell(n)^(k-1) (the first partition the finest,
         # the others free); past the digit limit, stop before the Stirling transform
-        bells = nk.bell_numbers(n)
-        _stop_past_digit_limit((k - 1) * (bells[n].bit_length() - 1))
-        counts = sp.pr_k_exact(k, n, bells)
+        _stop_past_digit_limit((k - 1) * (nk.bell(n).bit_length() - 1))
+        counts = sp.pr_k_exact(k, n)
         for i, v in enumerate(counts):
             payload_rows.append({"n": str(i), "k": str(k), "value": _dec(v)})
     elif kind == "mnr":

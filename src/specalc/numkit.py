@@ -42,6 +42,15 @@ def check_order(order: int) -> None:
         raise DomainError(f"order must be nonnegative, got {order}")
 
 
+def check_k(k: int) -> None:
+    """DomainError for a k-fold dimension that is not an int >= 1 (a bool is refused):
+    the one k check of the package."""
+    if type(k) is not int:
+        raise DomainError(f"k must be an int, got {k!r}")
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
+
+
 def factorial(n: int) -> int:
     """n! for n >= 0."""
     if n < 0:

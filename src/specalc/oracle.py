@@ -113,10 +113,7 @@ def partitions_of(labels) -> tuple:
 
 def set_partitions(n: int):
     """All partitions of {1..n}."""
-    if n > SET_PARTITION_LIMIT:
-        raise ScaleLimit(f"set_partitions({n}) exceeds limit {SET_PARTITION_LIMIT}")
-    if n < 0:
-        raise DomainError("negative ground set size")
+    nk.check_order(n)
     return list(partitions_of(tuple(range(1, n + 1))))
 
 
@@ -216,12 +213,9 @@ def rectangles_of(labels):
 
 
 def k_rectangles(n: int, k: int):
-    if n > ENUM_LIMIT:
-        raise ScaleLimit(f"k_rectangles({n}) exceeds limit {ENUM_LIMIT}")
-    if k < 1:
-        raise DomainError("dimension k must be >= 1")
-    if n < 0:
-        raise DomainError("negative ground set size")
+    nk.check_order(n)
+    labels = _labels(range(1, n + 1), "k-rectangles")
+    nk.check_k(k)
     # the k-rectangles are the structures of the k-th arithmetic power of E+
     count = nk.aprod_power((0,) + (1,) * n, k)[n] if n else 1
     if count * k > ENUM_STRUCTURES:
@@ -229,7 +223,7 @@ def k_rectangles(n: int, k: int):
             f"k_rectangles({n}, {k}) would build {count * k} partitions, "
             f"past the oracle budget {ENUM_STRUCTURES}"
         )
-    return list(_k_rectangles_of(tuple(range(1, n + 1)), k))
+    return list(_k_rectangles_of(labels, k))
 
 
 def _k_partial_rectangles_of(labels, k, parts):
@@ -265,8 +259,7 @@ def partial_rectangles_of(labels):
 
 
 def k_partial_rectangles(n: int, k: int):
-    if k < 1:
-        raise DomainError("dimension k must be >= 1")
+    nk.check_k(k)
     parts = set_partitions(n)
     # any base >= 2 passes the limit by the exponent PARTIAL_CANDIDATES.bit_length()
     if len(parts) ** min(k, PARTIAL_CANDIDATES.bit_length()) > PARTIAL_CANDIDATES:

@@ -69,7 +69,8 @@ class SpeciesExpr:
     Each node class declares its source name ``name`` (a class attribute)
     and its arguments as annotations, in order.  ``fields`` holds their
     names and ``int_fields`` those annotated ``int``, which must be
-    nonnegative; ``args`` holds an instance's arguments.
+    nonnegative ints (a bool or float is refused); ``args`` holds an
+    instance's arguments.
     """
 
     def __init_subclass__(cls):
@@ -81,10 +82,13 @@ class SpeciesExpr:
     def __init__(self, *args):
         if len(args) != len(self.fields):
             raise TypeError(f"{type(self).__name__}() takes {len(self.fields)} arguments")
-        vars(self).update(zip(self.fields, args), args=args, _hash=hash((self.name, args)))
+        named = dict(zip(self.fields, args))
         for f in self.int_fields:
-            if (v := getattr(self, f)) < 0:
+            if type(v := named[f]) is not int:
+                raise DomainError(f"{self.name} needs an int {f}, got {v!r}")
+            if v < 0:
                 raise DomainError(f"{self.name} needs {f} >= 0, got {v}")
+        vars(self).update(named, args=args, _hash=hash((self.name, args)))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -521,19 +525,17 @@ def partial_rect_mnr(m: int, n: int, r: int) -> int:
     return v
 
 
-def pr_k_exact(k: int, order: int, bells=None) -> list[int]:
+def pr_k_exact(k: int, order: int) -> list[int]:
     """Counts of k-tuples of partitions with meet the finest partition.
 
     Exact route: the Hadamard k-th power of the Bell series has count
     B_n^k; substituting ln(1+x) undoes the e^x - 1 inside and yields the
     partial-rectangle series itself.  On counts that substitution is the
-    Stirling-1 transform of B_n^k.  ``bells``, when given, is
-    ``nk.bell_numbers(order)`` already built.
+    Stirling-1 transform of B_n^k.
     """
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    nk.check_k(k)
     nk.check_order(order)
-    out = nk.stirling1_transform([b ** k for b in bells or nk.bell_numbers(order)])
+    out = nk.stirling1_transform([b ** k for b in nk.bell_numbers(order)])
     assert all(v >= 0 for v in out)
     return out
 
@@ -588,8 +590,7 @@ def pittel_rows(k: int, n: int, tol) -> list[tuple[int, float, float]]:
     formed once: e^(-k) after the smallest box is checked, ``pr_k_exact``
     after every box, so a box past ``PITTEL_BOX_POINTS`` forms neither.
     """
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    nk.check_k(k)
     nk.check_order(n)
     if not 0 < tol < inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")

@@ -145,15 +145,19 @@ _ATOM_FIX = {
 }
 
 
-def _atom(name):
+def _atom(name, params):
+    """The named atom's fix-value rule; its arguments must be ints (a bool or float is refused)."""
     if name not in _ATOM_FIX:
         raise UnknownAtom(f"no cycle index for atom {name!r}")
+    for v in params:
+        if type(v) is not int:
+            raise DomainError(f"{name} needs an int argument, got {v!r}")
     return _ATOM_FIX[name]
 
 
 def atom_counts(name: str, order: int, *params) -> tuple[int, ...]:
     """The named atom's labelled counts to the order: its fix-values at the identity types."""
-    fix = _atom(name)
+    fix = _atom(name, params)
     nk.check_order(order)
     return tuple(fix((n,) if n else (), n, *params) for n in range(order + 1))
 
@@ -165,7 +169,7 @@ def zi_atom(name: str, bound: int, *params) -> CycleIndex:
     atom fixes none off the equal-part types (0, ..., 0, m), so only
     those are visited.
     """
-    fix = _atom(name)
+    fix = _atom(name, params)
     nk.check_order(bound)
     if name in ("E", "S"):
         types = [(lam, w) for w in range(bound + 1) for lam in nk.int_partitions(w)]

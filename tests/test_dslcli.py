@@ -306,6 +306,12 @@ def test_krect_and_rect_tables_match_the_dirichlet_power():
     assert main(["table", "rect", "--k", "0", "--n", "6"]) == 0
 
 
+@pytest.mark.parametrize("kind", ["krect", "prect", "pittel"])
+def test_k_fold_tables_refuse_k_below_1_with_one_message(kind, capsys):
+    assert main(["table", kind, "--k", "0", "--n", "3"]) == 3
+    assert capsys.readouterr().err == "error: need k >= 1, got 0\n"
+
+
 def test_dirichlet_terms_match_the_fraction_route():
     rng = random.Random(70)
     for _ in range(40):
@@ -525,13 +531,8 @@ def test_pittel_table_forms_e_minus_k_and_the_exact_column_once(monkeypatch):
     assert calls == {"pr_k_exact": 1, "_einv_enclosure": 1}
 
 
-def test_prect_table_builds_the_bell_numbers_once(monkeypatch):
-    # the digit-limit bound reads Bell(n) from the table pr_k_exact then transforms
-    calls = []
-    bell_numbers = nk.bell_numbers
-    monkeypatch.setattr(nk, "bell_numbers", lambda n: calls.append(n) or bell_numbers(n))
+def test_prect_table_rows_are_the_exact_partial_rectangle_counts():
     rows = cmd_table("prect", 30, k=3)["payload"]["rows"]
-    assert calls == [30]
     assert [row["value"] for row in rows] == [str(v) for v in sp.pr_k_exact(3, 30)]
 
 

@@ -203,7 +203,7 @@ def test_k_rectangles_at_a_deep_k_return_or_hit_the_budget():
 def test_rectangle_builders_reject_a_negative_ground_set():
     for build in (oracle.set_partitions, lambda n: oracle.k_rectangles(n, 2),
                   lambda n: oracle.k_partial_rectangles(n, 2)):
-        with pytest.raises(DomainError, match="negative ground set size"):
+        with pytest.raises(DomainError, match="order must be nonnegative, got -1"):
             build(-1)
 
 

@@ -1,6 +1,7 @@
 """Public raise sites no other test reaches, each matched by its message."""
 
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -33,11 +34,11 @@ RAISES = [
     (nk.int_partitions, (-1,), DomainError, "partitions of negative -1"),
     (nk.aprod_counts, ((1, 1), (0, 1)), ZeroConstantRequired,
      "arithmetic product operand has a nonzero constant term"),
-    (oracle.k_rectangles, (9, 2), ScaleLimit, r"k_rectangles\(9\) exceeds limit 8"),
-    (oracle.k_rectangles, (2, 0), DomainError, "dimension k must be >= 1"),
+    (oracle.k_rectangles, (9, 2), ScaleLimit, "k-rectangles on 9 labels exceeds limit 8"),
+    (oracle.k_rectangles, (2, 0), DomainError, "need k >= 1, got 0"),
     (oracle.partial_rectangles_of, (range(1, 9),), ScaleLimit,
      r"4140\^2 partition pairs exceed limit 2000000"),
-    (oracle.k_partial_rectangles, (2, 0), DomainError, "dimension k must be >= 1"),
+    (oracle.k_partial_rectangles, (2, 0), DomainError, "need k >= 1, got 0"),
     (oracle.k_partial_rectangles, (5, 5), ScaleLimit,
      r"52\^5 partition tuples exceed limit 2000000"),
     (oracle.matrices_01, (-1, 1, 1), DomainError, "matrix parameters must be nonnegative"),
@@ -90,6 +91,40 @@ NOT_INT_ORDERS = [
 @pytest.mark.parametrize("fn, args", NOT_INT_ORDERS)
 def test_an_order_that_is_not_an_int_is_refused(fn, args):
     with pytest.raises(DomainError, match="order must be an int, got "):
+        fn(*args)
+
+
+# k-fold dimensions, ground-set sizes and atom arguments that are not ints:
+# each is refused at its door before it reaches a count.
+NOT_INT_K = [
+    pytest.param(sp.pr_k_exact, (2.5, 4), "k must be an int, got 2.5", id="pr_k_exact(2.5, 4)"),
+    pytest.param(sp.pr_k_exact, (True, 4), "k must be an int, got True", id="pr_k_exact(True, 4)"),
+    pytest.param(sp.pittel_rows, (2.5, 2, 1e-6), "k must be an int, got 2.5",
+                 id="pittel_rows(2.5, 2)"),
+    pytest.param(oracle.k_rectangles, (3, 2.5), "k must be an int, got 2.5",
+                 id="k_rectangles(3, 2.5)"),
+    pytest.param(oracle.k_partial_rectangles, (3, 2.5), "k must be an int, got 2.5",
+                 id="k_partial_rectangles(3, 2.5)"),
+    pytest.param(oracle.k_rectangles, (2.5, 2), "order must be an int, got 2.5",
+                 id="k_rectangles(2.5, 2)"),
+    pytest.param(oracle.set_partitions, (2.5,), "order must be an int, got 2.5",
+                 id="set_partitions(2.5)"),
+    pytest.param(sp.Necklace, (2.5,), "necklace needs an int alpha, got 2.5", id="Necklace(2.5)"),
+    pytest.param(sp.Ek, (True,), "Ek needs an int k, got True", id="Ek(True)"),
+    pytest.param(sp.Restrict, (sp.E(), 2.0), "restrict needs an int n, got 2.0",
+                 id="Restrict(E, 2.0)"),
+    pytest.param(sp.XPow, (Fraction(3),), r"Xpow needs an int n, got Fraction\(3, 1\)",
+                 id="XPow(Fraction(3))"),
+    pytest.param(zi.zi_atom, ("necklace", 4, 2.5), "necklace needs an int argument, got 2.5",
+                 id="zi_atom(necklace, 4, 2.5)"),
+    pytest.param(zi.atom_counts, ("OnePlusXpow", 3, 2.5),
+                 "OnePlusXpow needs an int argument, got 2.5", id="atom_counts(OnePlusXpow, 3, 2.5)"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", NOT_INT_K)
+def test_a_k_size_or_atom_argument_that_is_not_an_int_is_refused(fn, args, message):
+    with pytest.raises(DomainError, match=message):
         fn(*args)
 
 
