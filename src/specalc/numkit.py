@@ -33,13 +33,13 @@ def exact(value):
     raise DomainError(f"{value!r} is not an exact number: need an int or a Fraction")
 
 
-def check_order(order: int) -> None:
-    """DomainError for a truncation order that is not a nonnegative int (a bool is refused):
-    the one order check of the package."""
-    if type(order) is not int:
-        raise DomainError(f"order must be an int, got {order!r}")
-    if order < 0:
-        raise DomainError(f"order must be nonnegative, got {order}")
+def check_order(value: int, what: str = "order") -> None:
+    """DomainError for a value that is not a nonnegative int (a bool is refused), named
+    ``what`` in the message: the one reading of an order, size or count argument."""
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an int, got {value!r}")
+    if value < 0:
+        raise DomainError(f"{what} must be nonnegative, got {value}")
 
 
 def check_k(k: int) -> None:
@@ -139,6 +139,7 @@ def euler_phi(n: int) -> int:
 
 def stirling1_table(n: int) -> list[list[int]]:
     """Signed Stirling numbers of the first kind: row m holds s(m, 0..m), m = 0..n."""
+    check_order(n, "Stirling table size")
     rows = [[1]]
     for m in range(n):
         prev = rows[-1] + [0]
@@ -148,6 +149,7 @@ def stirling1_table(n: int) -> list[list[int]]:
 
 def stirling2_table(n: int) -> list[list[int]]:
     """Stirling numbers of the second kind: row m holds S(m, 0..m), m = 0..n."""
+    check_order(n, "Stirling table size")
     rows = [[1]]
     for m in range(n):
         prev = rows[-1] + [0]
@@ -157,8 +159,7 @@ def stirling2_table(n: int) -> list[list[int]]:
 
 def bell_numbers(n: int) -> tuple[int, ...]:
     """Bell numbers B_0 .. B_n, the row sums of the Stirling-2 table."""
-    if n < 0:
-        raise DomainError(f"Bell number of negative index {n}")
+    check_order(n, "Bell index")
     return tuple(map(sum, stirling2_table(n)))
 
 
@@ -180,8 +181,7 @@ def lyndon_count(n: int, alpha: int) -> int:
     """Number of Lyndon words of length n over an alpha-letter alphabet."""
     if n < 1:
         raise DomainError(f"Lyndon count needs n >= 1, got {n}")
-    if alpha < 0:
-        raise DomainError(f"alphabet size must be nonnegative, got {alpha}")
+    check_order(alpha, "alphabet size")
     total = sum(mobius(d) * alpha ** (n // d) for d in divisors(n))
     assert total % n == 0
     return total // n
@@ -224,8 +224,7 @@ def int_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     Canonical = reverse-lexicographic on descending part lists, so the
     one-part partition (n) comes first and (1^n) last.
     """
-    if n < 0:
-        raise DomainError(f"partitions of negative {n}")
+    check_order(n, "partition weight")
     out, mult = [], [0] * n
 
     def rec(rest, biggest, size):
@@ -314,8 +313,7 @@ def aprod_counts(f, g) -> tuple[int, ...]:
 
 def aprod_power(f, k: int) -> tuple[int, ...]:
     """The k-th arithmetic-product power of f, k >= 0, by squaring; the 0th is X's counts."""
-    if k < 0:
-        raise DomainError(f"arithmetic-product power with negative exponent {k}")
+    check_order(k, "arithmetic-product exponent")
     out = tuple(int(m == 1) for m in range(len(f)))
     while k:
         if k & 1:

@@ -511,8 +511,8 @@ def orbit_type_count(expr, n: int) -> int:
 
 def matrices_01(m: int, n: int, r: int) -> int:
     """m x n (0,1)-matrices with r ones and no zero row or column, exhaustively."""
-    if m < 0 or n < 0 or r < 0:
-        raise DomainError("matrix parameters must be nonnegative")
+    for v in (m, n, r):
+        nk.check_order(v, "matrix size")
     if m * n > MATRIX_CELL_LIMIT:
         raise ScaleLimit(f"{m}x{n} grid exceeds {MATRIX_CELL_LIMIT} cells")
     cells = [(i, j) for i in range(m) for j in range(n)]

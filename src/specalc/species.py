@@ -84,10 +84,7 @@ class SpeciesExpr:
             raise TypeError(f"{type(self).__name__}() takes {len(self.fields)} arguments")
         named = dict(zip(self.fields, args))
         for f in self.int_fields:
-            if type(v := named[f]) is not int:
-                raise DomainError(f"{self.name} needs an int {f}, got {v!r}")
-            if v < 0:
-                raise DomainError(f"{self.name} needs {f} >= 0, got {v}")
+            nk.check_order(named[f], f"{self.name} {f}")
         vars(self).update(named, args=args, _hash=hash((self.name, args)))
 
     def __eq__(self, other):
@@ -501,8 +498,8 @@ def mnr_formula(m: int, n: int, r: int) -> int:
     Signed double sum over the sizes (j, k) of the surviving row and
     column sets; grouping the terms by l = j*k gives the divisor form.
     """
-    if m < 0 or n < 0 or r < 0:
-        raise DomainError("matrix dimensions and weight must be nonnegative")
+    for v in (m, n, r):
+        nk.check_order(v, "matrix size")
     if not m * n:  # every line of a matrix with a zero dimension is empty
         return int(m == n == r == 0)
     total = 0

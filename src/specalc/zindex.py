@@ -146,12 +146,11 @@ _ATOM_FIX = {
 
 
 def _atom(name, params):
-    """The named atom's fix-value rule; its arguments must be ints (a bool or float is refused)."""
+    """The named atom's fix-value rule; its arguments must be nonnegative ints (a bool is refused)."""
     if name not in _ATOM_FIX:
         raise UnknownAtom(f"no cycle index for atom {name!r}")
     for v in params:
-        if type(v) is not int:
-            raise DomainError(f"{name} needs an int argument, got {v!r}")
+        nk.check_order(v, f"{name} argument")
     return _ATOM_FIX[name]
 
 

@@ -57,7 +57,7 @@ def test_aprod_power_is_repeated_aprod_counts():
     for k in range(7):
         assert nk.aprod_power(f, k) == power, k
         power = nk.aprod_counts(power, f)
-    with pytest.raises(DomainError, match="negative exponent -1"):
+    with pytest.raises(DomainError, match="arithmetic-product exponent must be nonnegative, got -1"):
         nk.aprod_power(f, -1)
 
 

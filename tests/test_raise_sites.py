@@ -31,7 +31,7 @@ RAISES = [
     (nk.lyndon_count, (0, 2), DomainError, "Lyndon count needs n >= 1, got 0"),
     (nk.lyndon_count, (3, -1), DomainError, "alphabet size must be nonnegative, got -1"),
     (parts_to_mult, ([0],), DomainError, "partition part 0 must be positive"),
-    (nk.int_partitions, (-1,), DomainError, "partitions of negative -1"),
+    (nk.int_partitions, (-1,), DomainError, "partition weight must be nonnegative, got -1"),
     (nk.aprod_counts, ((1, 1), (0, 1)), ZeroConstantRequired,
      "arithmetic product operand has a nonzero constant term"),
     (oracle.k_rectangles, (9, 2), ScaleLimit, "k-rectangles on 9 labels exceeds limit 8"),
@@ -41,11 +41,10 @@ RAISES = [
     (oracle.k_partial_rectangles, (2, 0), DomainError, "need k >= 1, got 0"),
     (oracle.k_partial_rectangles, (5, 5), ScaleLimit,
      r"52\^5 partition tuples exceed limit 2000000"),
-    (oracle.matrices_01, (-1, 1, 1), DomainError, "matrix parameters must be nonnegative"),
+    (oracle.matrices_01, (-1, 1, 1), DomainError, "matrix size must be nonnegative, got -1"),
     (oracle.tuple_decompositions, ({u: u for u in range(1, 10)},), ScaleLimit,
      "9 labels exceeds limit 8"),
-    (sp.mnr_formula, (-1, 1, 1), DomainError,
-     "matrix dimensions and weight must be nonnegative"),
+    (sp.mnr_formula, (-1, 1, 1), DomainError, "matrix size must be nonnegative, got -1"),
     (sp.pittel_rows, (0, 1, 1e-6), DomainError, "need k >= 1, got 0"),
     (sp.pittel_rows, (1, -1, 1e-6), DomainError, "order must be nonnegative, got -1"),
     (sp.cyclotomic_check, (0, 3), DomainError, "alpha must be >= 1, got 0"),
@@ -109,21 +108,54 @@ NOT_INT_K = [
                  id="k_rectangles(2.5, 2)"),
     pytest.param(oracle.set_partitions, (2.5,), "order must be an int, got 2.5",
                  id="set_partitions(2.5)"),
-    pytest.param(sp.Necklace, (2.5,), "necklace needs an int alpha, got 2.5", id="Necklace(2.5)"),
-    pytest.param(sp.Ek, (True,), "Ek needs an int k, got True", id="Ek(True)"),
-    pytest.param(sp.Restrict, (sp.E(), 2.0), "restrict needs an int n, got 2.0",
+    pytest.param(sp.Necklace, (2.5,), "necklace alpha must be an int, got 2.5", id="Necklace(2.5)"),
+    pytest.param(sp.Ek, (True,), "Ek k must be an int, got True", id="Ek(True)"),
+    pytest.param(sp.Restrict, (sp.E(), 2.0), "restrict n must be an int, got 2.0",
                  id="Restrict(E, 2.0)"),
-    pytest.param(sp.XPow, (Fraction(3),), r"Xpow needs an int n, got Fraction\(3, 1\)",
+    pytest.param(sp.XPow, (Fraction(3),), r"Xpow n must be an int, got Fraction\(3, 1\)",
                  id="XPow(Fraction(3))"),
-    pytest.param(zi.zi_atom, ("necklace", 4, 2.5), "necklace needs an int argument, got 2.5",
+    pytest.param(zi.zi_atom, ("necklace", 4, 2.5), "necklace argument must be an int, got 2.5",
                  id="zi_atom(necklace, 4, 2.5)"),
     pytest.param(zi.atom_counts, ("OnePlusXpow", 3, 2.5),
-                 "OnePlusXpow needs an int argument, got 2.5", id="atom_counts(OnePlusXpow, 3, 2.5)"),
+                 "OnePlusXpow argument must be an int, got 2.5", id="atom_counts(OnePlusXpow, 3, 2.5)"),
 ]
 
 
 @pytest.mark.parametrize("fn, args, message", NOT_INT_K)
 def test_a_k_size_or_atom_argument_that_is_not_an_int_is_refused(fn, args, message):
+    with pytest.raises(DomainError, match=message):
+        fn(*args)
+
+
+# Counts, sizes and atom arguments read by ``numkit.check_order``: a negative
+# value or a non-int is refused at the door, under the door's own noun.
+NOT_NONNEGATIVE_INTS = [
+    pytest.param(zi.zi_atom, ("necklace", 3, -2), "necklace argument must be nonnegative, got -2",
+                 id="zi_atom(necklace, 3, -2)"),
+    pytest.param(zi.zi_atom, ("OnePlusXpow", 3, -1), "OnePlusXpow argument must be nonnegative, got -1",
+                 id="zi_atom(OnePlusXpow, 3, -1)"),
+    pytest.param(zi.atom_counts, ("OnePlusXpow", 3, -1),
+                 "OnePlusXpow argument must be nonnegative, got -1", id="atom_counts(OnePlusXpow, 3, -1)"),
+    pytest.param(nk.lyndon_count, (4, 2.5), "alphabet size must be an int, got 2.5",
+                 id="lyndon_count(4, 2.5)"),
+    pytest.param(nk.bell_numbers, (2.5,), "Bell index must be an int, got 2.5", id="bell_numbers(2.5)"),
+    pytest.param(nk.int_partitions, (2.5,), "partition weight must be an int, got 2.5",
+                 id="int_partitions(2.5)"),
+    pytest.param(nk.aprod_power, ((0, 1, 1), 2.5), "arithmetic-product exponent must be an int, got 2.5",
+                 id="aprod_power(f, 2.5)"),
+    pytest.param(sp.mnr_formula, (2.0, 2, 1), "matrix size must be an int, got 2.0",
+                 id="mnr_formula(2.0, 2, 1)"),
+    pytest.param(oracle.matrices_01, (2.0, 2, 2), "matrix size must be an int, got 2.0",
+                 id="matrices_01(2.0, 2, 2)"),
+    pytest.param(nk.stirling1_table, (-1,), "Stirling table size must be nonnegative, got -1",
+                 id="stirling1_table(-1)"),
+    pytest.param(nk.stirling2_table, (-1,), "Stirling table size must be nonnegative, got -1",
+                 id="stirling2_table(-1)"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", NOT_NONNEGATIVE_INTS)
+def test_a_count_size_or_atom_argument_that_is_not_a_nonnegative_int_is_refused(fn, args, message):
     with pytest.raises(DomainError, match=message):
         fn(*args)
 

@@ -58,12 +58,19 @@ def test_aprod_with_xpow_is_substitution():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: sp.Ek(-1), "Ek needs k >= 0, got -1"),
-        (lambda: sp.XPow(-2), "Xpow needs n >= 0, got -2"),
-        (lambda: sp.OnePlusXPow(-3), "OnePlusXpow needs n >= 0, got -3"),
-        (lambda: sp.Necklace(-4), "necklace needs alpha >= 0, got -4"),
-        (lambda: sp.AperiodicNecklace(-5), "aperiodic needs alpha >= 0, got -5"),
-        (lambda: sp.Restrict(sp.E(), -6), "restrict needs n >= 0, got -6"),
+        # each id states the case, the node's rule and the value given, and keeps the case's name
+        pytest.param(lambda: sp.Ek(-1), "Ek k must be nonnegative, got -1",
+                     id="<lambda>-Ek needs k >= 0, got -1"),
+        pytest.param(lambda: sp.XPow(-2), "Xpow n must be nonnegative, got -2",
+                     id="<lambda>-Xpow needs n >= 0, got -2"),
+        pytest.param(lambda: sp.OnePlusXPow(-3), "OnePlusXpow n must be nonnegative, got -3",
+                     id="<lambda>-OnePlusXpow needs n >= 0, got -3"),
+        pytest.param(lambda: sp.Necklace(-4), "necklace alpha must be nonnegative, got -4",
+                     id="<lambda>-necklace needs alpha >= 0, got -4"),
+        pytest.param(lambda: sp.AperiodicNecklace(-5), "aperiodic alpha must be nonnegative, got -5",
+                     id="<lambda>-aperiodic needs alpha >= 0, got -5"),
+        pytest.param(lambda: sp.Restrict(sp.E(), -6), "restrict n must be nonnegative, got -6",
+                     id="<lambda>-restrict needs n >= 0, got -6"),
     ],
 )
 def test_negative_integer_arguments_are_rejected_by_name(make, message):
