@@ -204,11 +204,6 @@ def weight(lam) -> int:
     return sum(map(mul, lam, range(1, len(lam) + 1)))
 
 
-def num_parts(lam) -> int:
-    """Total number of parts."""
-    return sum(lam)
-
-
 def aut(lam) -> int:
     """prod_i i^(m_i) m_i!, the centralizer order of a permutation of this cycle type."""
     out = 1

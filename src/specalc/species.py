@@ -658,35 +658,3 @@ def _pittel_box_sum(k, n, box):
         by_product = step
     total = sum(nk.falling(m, n) * c for m, c in by_product.items())
     return Fraction(total, fbox ** k)
-
-
-# -- the cyclotomic identity -----------------------------------------------------------
-
-def cyclotomic_check(alpha: int, order: int) -> bool:
-    """Verify the colored-cycle factorization on integer counts.
-
-    Checks (a) cycles of aperiodic necklaces have the same counts as
-    necklaces, (b) the product of the factors (1 - x^n)^(-lyndon(n, alpha))
-    is sum alpha^n x^n, and (c) assemblies of cycles of aperiodic necklaces
-    number n! alpha^n.
-    """
-    if alpha < 1:
-        raise DomainError(f"alpha must be >= 1, got {alpha}")
-    neck = eval_counts(Necklace(alpha), order)
-    octo = eval_counts(AProd(C(), AperiodicNecklace(alpha)), order)
-    if octo != neck:
-        return False
-    target = [alpha ** n for n in range(order + 1)]
-    prod_form = [1] + [0] * order
-    for n in range(1, order + 1):
-        lam = nk.lyndon_count(n, alpha)
-        if lam:
-            # (1 - x^n)^(-lam) = sum_j C(lam + j - 1, j) x^(nj)
-            prod_form = [
-                sum(nk.binomial(lam + j - 1, j) * prod_form[m - n * j] for j in range(m // n + 1))
-                for m in range(order + 1)
-            ]
-    if prod_form != target:
-        return False
-    assemblies = eval_counts(Subst(E(), AProd(C(), AperiodicNecklace(alpha))), order)
-    return assemblies == [nk.factorial(n) * t for n, t in enumerate(target)]

@@ -123,7 +123,7 @@ def partition_label(lam) -> str:
 
 def _cycle_fix(lam) -> int:
     """Oriented cycles fixed by a permutation of type lam: it needs m cycles of one length d."""
-    d, m = len(lam), nk.num_parts(lam)
+    d, m = len(lam), sum(lam)
     if not lam or lam[-1] != m:
         return 0
     return nk.euler_phi(d) * d ** (m - 1) * nk.factorial(m - 1)
@@ -140,7 +140,7 @@ _ATOM_FIX = {
     "C": lambda lam, n: _cycle_fix(lam),
     "S": lambda lam, n: nk.aut(lam),
     "OnePlusXpow": lambda lam, n, k: nk.falling(k, n) if len(lam) <= 1 else 0,
-    "necklace": lambda lam, n, a: _cycle_fix(lam) * a ** nk.num_parts(lam),
+    "necklace": lambda lam, n, a: _cycle_fix(lam) * a ** sum(lam),
     "aperiodic": lambda lam, n, a: nk.factorial(n) * nk.lyndon_count(n, a) if len(lam) == 1 else 0,
 }
 

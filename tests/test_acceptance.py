@@ -136,15 +136,26 @@ def test_criterion_07_matrix_counting():
 
 
 def test_criterion_08_cyclotomic_identity():
-    ok = all(sp.cyclotomic_check(alpha, 12) for alpha in (1, 2, 3))
-    for alpha in (1, 2, 3):
+    # An alpha-coloured necklace is a cycle of clones of its aperiodic period:
+    # (a) labelled and (a') type counts of necklace(alpha) and aprod(C, aperiodic(alpha))
+    # agree, (b) prod_n (1 - x^n)^(-lyndon(n, alpha)) = sum alpha^n x^n, and
+    # (c) assemblies of aprod(C, aperiodic(alpha)) number n! alpha^n.
+    ok = True
+    for alpha in (1, 2, 3, 4):
+        necklace = sp.Necklace(alpha)
+        cloned = sp.AProd(sp.C(), sp.AperiodicNecklace(alpha))
+        ok = ok and sp.eval_counts(cloned, 12) == sp.eval_counts(necklace, 12)
+        ok = ok and sp.type_counts(cloned, 12) == sp.type_counts(necklace, 12)
         prod_form = TruncSeries.one(12)
         for n in range(1, 13):
             lam = nk.lyndon_count(n, alpha)
             if lam:
                 prod_form = prod_form * se.geom_power(n, lam, 12)
         ok = ok and prod_form == TruncSeries(alpha ** n for n in range(13))
-    assert report(8, "cyclotomic identity for alpha in {1,2,3} at N=12, exact", ok)
+        ok = ok and sp.eval_counts(sp.Subst(sp.E(), cloned), 12) == [
+            nk.factorial(n) * alpha ** n for n in range(13)
+        ]
+    assert report(8, "cyclotomic identity for alpha in {1,2,3,4} at N=12, exact", ok)
 
 
 def test_criterion_09_algebraic_law_suite():

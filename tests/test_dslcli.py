@@ -454,6 +454,11 @@ def test_json_dump_of_every_command_record_is_the_stdlib_text():
     assert all(dslcli.WRITE_BATCH <= size < 2 * dslcli.WRITE_BATCH for size in sizes[:-1])
 
 
+def test_json_writes_a_list_or_dict_inside_a_tuple_as_json_dumps_does():
+    rec = {"command": "enumerate", "payload": {"structures": [("a", [1, 2], {"k": (3,)})]}}
+    assert _formatted(rec, "json") == json.dumps(rec, indent=2)
+
+
 def test_json_format_lossless():
     big = cmd_counts("comp(L, Ep)", 20)
     text = _formatted(big, "json")

@@ -47,7 +47,6 @@ RAISES = [
     (sp.mnr_formula, (-1, 1, 1), DomainError, "matrix size must be nonnegative, got -1"),
     (sp.pittel_rows, (0, 1, 1e-6), DomainError, "need k >= 1, got 0"),
     (sp.pittel_rows, (1, -1, 1e-6), DomainError, "order must be nonnegative, got -1"),
-    (sp.cyclotomic_check, (0, 3), DomainError, "alpha must be >= 1, got 0"),
     (zi.CycleIndex, (-1,), DomainError, "order must be nonnegative, got -1"),
     (zi.zi_to_ogf, (zi.zi_atom("E", 4), 5), DomainError, "order 5 exceeds weight bound 4"),
     (zi.zi_atom, ("E", -1), DomainError, "order must be nonnegative, got -1"),

@@ -37,6 +37,14 @@ def test_equality_is_strict_on_order():
     assert F(1, 2) != F(1, 2, 0)
 
 
+def test_series_compare_hash_and_print_as_values():
+    # a foreign operand is left to its own __eq__, so the comparison is False, not an error
+    assert F(1, 2).__eq__(0) is NotImplemented and (F(0) == 0) is False
+    assert hash(F(1, 2)) == hash(TruncSeries([1, 2]))
+    assert repr(F(1, 2)) == "TruncSeries[1, 2; order=1]"
+    assert repr(TruncSeries(range(8))) == "TruncSeries[0, 1, 2, 3, 4, 5, ...; order=7]"
+
+
 def test_sum_and_difference_with_a_number_are_type_errors():
     s = F(1, 2)
     for op in (lambda: s + 1, lambda: s - 1, lambda: 1 + s, lambda: 1 - s):

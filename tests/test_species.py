@@ -218,7 +218,6 @@ def test_negative_order_is_a_domain_error():
         lambda: sp.hct_counts(sp.E(), -1),
         lambda: sp.pr_k_exact(2, -1),
         lambda: sp.eval_egf(sp.E(), -1),
-        lambda: sp.cyclotomic_check(2, -1),
         lambda: sp.eval_zi(sp.E(), -1),
         lambda: zi.zi_to_ogf(sp.eval_zi(sp.E(), -1), -1),
         lambda: sp.type_counts(sp.E(), -1),
@@ -327,9 +326,19 @@ def test_pittel_rows():
             sp.pittel_rows(2, 2, tol)
 
 
-def test_cyclotomic_check():
-    for alpha in (1, 2, 3, 4):
-        assert sp.cyclotomic_check(alpha, 12)
+def test_tail_upper_sums_terms_while_the_ratio_is_at_least_three_quarters():
+    # term(i) = i^12 / 2^i grows up to i = 17, and ratio(i) >= 3/4 up to i = 29, so the
+    # bound adds 29 terms one by one before its geometric tail; no Pittel box reaches this
+    def term(i):
+        return Fraction(i ** 12, 2 ** i)
+
+    def ratio(i):
+        return Fraction((i + 1) ** 12, i ** 12 * 2)
+
+    assert ratio(1) == 2048
+    bound = sp._tail_upper(term, ratio, 1)
+    partial = sum((term(i) for i in range(1, 800)), Fraction(0))
+    assert partial <= bound <= partial * Fraction(101, 100)
 
 
 def test_cyclotomic_product_coefficient():

@@ -86,6 +86,14 @@ def test_zi_add_and_zero():
     assert zi.zi_add(p, CycleIndex(5)) == p
 
 
+def test_cycle_indices_compare_hash_and_print_as_values():
+    # a foreign operand is left to its own __eq__, so the comparison is False, not an error
+    assert CycleIndex(2).__eq__(0) is NotImplemented and (CycleIndex(2) == 0) is False
+    a, b = zi.zi_atom("E", 3), zi.zi_atom("E", 3)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert repr(zi.zi_atom("X", 3)) == "CycleIndex(bound=3, terms=1)"
+
+
 def test_zi_mul():
     zx = zi.zi_atom("X", 4)
     sq = zi.zi_mul(zx, zx)
