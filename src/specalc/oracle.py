@@ -14,11 +14,17 @@ native comparison raises ``TypeError``; the two orders agree wherever the
 native one is defined.  Scale limits are the named constants below and
 raising past them is a ``ScaleLimit`` error, never silent truncation.
 Every entry point reads the labels or permutation it is given through
-``_labels`` or ``_permutation``; ``_enum`` is the one cache.
+``_labels`` or ``_permutation``; ``_enum`` is the one cache.  A node forms
+its structures with ``itertools.product``, in nested-loop order, asking for
+an operand only where those loops would.  The cyclic collector is paused
+while structures are built: they are tuples, which hold no cycle, and each
+pass would re-scan every tuple built so far.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from operator import and_
@@ -133,17 +139,18 @@ def is_finest(p) -> bool:
 
 # -- rectangles -------------------------------------------------------------------
 
+def _proper_factorizations(m):
+    return [(d,) + r for d in nk.divisors(m)[1:] for r in _proper_factorizations(m // d)] if m > 1 else [()]
+
+
 def _ordered_factorizations(n, k):
     """The k-tuples of positive ints with product n, in lexicographic order.
 
     Each is an ordered factorization of n into factors above 1 (at most
     log2 n of them) set at k positions among ones, so no step recurses on k.
     """
-    def proper(m):
-        return [(d,) + r for d in nk.divisors(m)[1:] for r in proper(m // d)] if m > 1 else [()]
-
     shapes = []
-    for factors in proper(n):
+    for factors in _proper_factorizations(n):
         for places in combinations(range(k), len(factors)):
             shape = [1] * k
             for j, d in zip(places, factors):
@@ -162,7 +169,8 @@ def _k_rectangles_of(labels, k):
     row-major order, depth first, with the free labels ascending, so the
     k-rectangles come shape by shape in that order.  The labels are
     canonical, so label indices in ascending order give sorted blocks, and
-    blocks in order of their least index give canonical partitions.
+    blocks in order of their least index give canonical partitions.  The
+    walk is a loop, not a recursive closure, so it leaves no cycle behind.
     """
     n = len(labels)
     if n == 0:
@@ -180,14 +188,13 @@ def _k_rectangles_of(labels, k):
             axis = [j for j, x in enumerate(cell) if x]
             after.append(c - stride[axis[0]] if len(axis) == 1 else 0)
         fill = [0] * n  # the label index at each cell
-        free = [True] * n
-        free[0] = False
-
-        def grow(c):
+        free = [False] + [True] * (n - 1)
+        c, i = 1, 1  # the cell to fill and the least label index to try there
+        while c:
             if c == n:
                 at = [None] * n
-                for cell, i in zip(cells, fill):
-                    at[i] = cell
+                for cell, idx in zip(cells, fill):
+                    at[idx] = cell
                 axes = []
                 for j in range(k):
                     blocks = {}
@@ -195,15 +202,17 @@ def _k_rectangles_of(labels, k):
                         blocks.setdefault(cell[j], []).append(u)
                     axes.append(tuple(map(tuple, blocks.values())))
                 out.append(tuple(axes))
-                return
-            for i in range(fill[after[c]] + 1, n):
-                if free[i]:
-                    free[i] = False
-                    fill[c] = i
-                    grow(c + 1)
-                    free[i] = True
-
-        grow(1)
+            else:
+                while i < n and not free[i]:
+                    i += 1
+                if i < n:
+                    free[i], fill[c] = False, i
+                    c += 1
+                    i = fill[after[c]] + 1 if c < n else 0
+                    continue
+            c -= 1  # back up a cell and try its next free label
+            free[fill[c]] = True
+            i = fill[c] + 1
     return tuple(out)
 
 
@@ -232,7 +241,8 @@ def _k_partial_rectangles_of(labels, k, parts):
     Each partition is an int bit set of the label pairs it joins into one
     block; the meet of a tuple joins the pairs every partition joins, so it
     is the finest exactly when the AND of the bit sets is 0.  No meet is
-    formed.  Tuples come in ``product(parts, repeat=k)`` order.
+    formed, and the first k - 1 bit sets are ANDed once per prefix.  Tuples
+    come in ``product(parts, repeat=k)`` order.
     """
     index = {u: i for i, u in enumerate(labels)}
     joins = []
@@ -242,11 +252,13 @@ def _k_partial_rectangles_of(labels, k, parts):
             for u, v in combinations(b, 2):
                 bits |= 1 << (index[u] * len(labels) + index[v])
         joins.append(bits)
-    return [
-        tup
-        for tup, bits in zip(product(parts, repeat=k), product(joins, repeat=k))
-        if not reduce(and_, bits)
-    ]
+    pairs = list(zip(parts, joins))
+    out = []
+    for prefix in product(pairs, repeat=k - 1):
+        common = reduce(and_, (bits for _, bits in prefix), -1)
+        head = tuple(p for p, _ in prefix)
+        out += [head + (p,) for p, bits in pairs if not common & bits]
+    return out
 
 
 def partial_rectangles_of(labels):
@@ -275,10 +287,34 @@ def k_partial_rectangles(n: int, k: int):
 
 # -- structure enumeration -----------------------------------------------------------
 
+@contextmanager
+def _collector_paused():
+    """The cyclic collector off for the block, and back as the caller had it, also on error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class _Operand(dict):
+    """An operand's enumerations by label set, each asked of ``_enum`` once per call."""
+
+    def __init__(self, expr):
+        self.expr = expr
+
+    def __missing__(self, labels):
+        self[labels] = found = _enum(self.expr, labels)
+        return found
+
+
 def enumerate_structures(expr, labels):
     """Every structure of the expression on the label set, each exactly once."""
     expr = sp.validate(expr)
-    return list(_enum(expr, _labels(labels, "enumeration")))
+    with _collector_paused():
+        return list(_enum(expr, _labels(labels, "enumeration")))
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +339,7 @@ def _enum(expr, labels):
     if isinstance(expr, sp.E):
         return (("set", labels),)
     if isinstance(expr, sp.L):
-        return tuple(("list", p) for p in permutations(labels))
+        return tuple(product(("list",), permutations(labels)))
     if isinstance(expr, sp.C):
         if n == 0:
             return ()
@@ -327,52 +363,42 @@ def _enum(expr, labels):
             if not aperiodic_only or _necklace_period(colors) == n
         )
     if isinstance(expr, sp.Sum):
-        return tuple(("inl", s) for s in _enum(expr.f, labels)) + tuple(
-            ("inr", s) for s in _enum(expr.g, labels)
+        return tuple(product(("inl",), _enum(expr.f, labels))) + tuple(
+            product(("inr",), _enum(expr.g, labels))
         )
     if isinstance(expr, sp.Prod):
         out = []
         for r in range(n + 1):
             for left in combinations(labels, r):
                 right = tuple(u for u in labels if u not in left)
-                for s1 in _enum(expr.f, left):
-                    for s2 in _enum(expr.g, right):
-                        out.append(("prod", left, s1, right, s2))
+                if lefts := _enum(expr.f, left):
+                    out += product(("prod",), (left,), lefts, (right,), _enum(expr.g, right))
         return tuple(out)
     if isinstance(expr, sp.Cartesian):
-        return tuple(
-            ("cart", s1, s2)
-            for s1 in _enum(expr.f, labels)
-            for s2 in _enum(expr.g, labels)
-        )
+        lefts = _enum(expr.f, labels)
+        return tuple(product(("cart",), lefts, _enum(expr.g, labels))) if lefts else ()
     if isinstance(expr, sp.Subst):
-        out = []
+        out, inner = [], _Operand(expr.g)
         for part in partitions_of(labels):
-            inner_lists = [_enum(expr.g, b) for b in part]
-            if any(not lst for lst in inner_lists):
-                continue
-            for souter in _enum(expr.f, part):
-                for inners in product(*inner_lists):
-                    out.append(("subst", part, souter, inners))
+            inner_lists = [inner[b] for b in part]
+            if all(inner_lists):
+                out += product(("subst",), (part,), _enum(expr.f, part), product(*inner_lists))
         return tuple(out)
     if isinstance(expr, (sp.AProd, sp.MAProd)):
         # a partition's blocks are canonical labels one level up, as they come
         rects = rectangles_of if isinstance(expr, sp.AProd) else partial_rectangles_of
-        return tuple(
-            (expr.name, pi, tau, m, t)
-            for pi, tau in rects(labels)
-            for m in _enum(expr.f, pi)
-            for t in _enum(expr.g, tau)
-        )
+        out, fs, gs = [], _Operand(expr.f), _Operand(expr.g)
+        for pi, tau in rects(labels):
+            if ms := fs[pi]:
+                out += product((expr.name,), (pi,), (tau,), ms, gs[tau])
+        return tuple(out)
     if isinstance(expr, sp.Derivative):
         star = _fresh_star(labels)
         return tuple(
             ("deriv", s) for s in _enum(expr.f, canon_labels(labels + (star,)))
         )
     if isinstance(expr, sp.Point):
-        return tuple(
-            ("point", u, s) for u in labels for s in _enum(expr.f, labels)
-        )
+        return tuple(product(("point",), labels, _enum(expr.f, labels))) if n else ()
     if isinstance(expr, sp.NonEmpty):
         return _enum(expr.f, labels) if n else ()
     if isinstance(expr, sp.Restrict):
@@ -387,7 +413,6 @@ def _enum(expr, labels):
         rest = labels[1:]
         inner = sp.AProd(sp.NonEmpty(expr.r), expr)
         return tuple(("hct", labels[0], s) for s in _enum(inner, rest))
-    raise UnsupportedAtom(f"oracle cannot enumerate {type(expr).__name__}")
 
 
 def _necklace_period(colors):
@@ -479,7 +504,8 @@ def fix_count(expr, sigma) -> int:
     """Number of structures left fixed when transported along the permutation."""
     expr = sp.validate(expr)
     labels = _permutation(sigma, "fix count")
-    return sum(1 for s in _enum(expr, labels) if _transport(s, sigma) == s)
+    with _collector_paused():
+        return sum(1 for s in _enum(expr, labels) if _transport(s, sigma) == s)
 
 
 def perm_of_type(lam) -> dict:

@@ -357,6 +357,33 @@ def test_check_past_the_oracle_limits_under_deriv_exits_4(expr_text, err, capsys
     assert capsys.readouterr() == ("", f"scale limit: {err}\n")
 
 
+def _all_zero(expr_text, n):
+    rows = "".join(f"n={m} eval=0 oracle=0 match=True\n" for m in range(n + 1))
+    return f"# check {expr_text} --n {n}\n{rows}all_match=True\n"
+
+
+# the oracle asks for point's operand only when n >= 1, and for the right
+# operand of *, cart and aprod only beside a left structure; comp asks for its
+# outer operand on the empty partition of no labels
+LAZY_OPERANDS = [
+    ("point(necklace(5))", 0, 0, _all_zero("point(necklace(5))", 0), ""),
+    ("cart(restrict(E, 2), necklace(5))", 1, 0, _all_zero("cart(restrict(E, 2), necklace(5))", 1), ""),
+    ("restrict(E, 2) * necklace(5)", 1, 0, _all_zero("restrict(E, 2) * necklace(5)", 1), ""),
+    ("aprod(restrict(Ep, 2), necklace(5))", 1, 0, _all_zero("aprod(restrict(Ep, 2), necklace(5))", 1), ""),
+    ("comp(necklace(5), restrict(Ep, 2))", 1, 3, "", "error: necklace alphabet 5 exceeds limit 3\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "expr_text, n, code, out, err", LAZY_OPERANDS, ids=[case[0] for case in LAZY_OPERANDS]
+)
+def test_check_asks_the_oracle_for_an_operand_only_where_nested_loops_would(
+    expr_text, n, code, out, err, capsys
+):
+    assert main(["check", expr_text, "--n", str(n)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize("m, n", [("0", "10" * 15), ("10" * 15, "0")])
 def test_mnr_table_with_a_zero_dimension_is_one_row_fast(m, n, capsys):
     start = time.perf_counter()

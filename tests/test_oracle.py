@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import labelled_counts, parts_to_mult
+from conftest import labelled_counts, parts_to_mult, rand_emptyfree
 from specalc import dslcli
 from specalc import numkit as nk
 from specalc import oracle
 from specalc import species as sp
 from specalc import zindex as zi
-from specalc.errors import DomainError, DomainMismatch, ScaleLimit, UnsupportedAtom
+from specalc.errors import DomainError, DomainMismatch, ScaleLimit, SpecalcError, UnsupportedAtom
 
 
 def test_set_partitions():
@@ -486,6 +487,150 @@ def test_transport_by_tags_matches_the_expression_walk(monkeypatch):
     assert tags == TRANSPORT_TAGS
     with pytest.raises(UnsupportedAtom, match="cannot transport a 'nope' structure"):
         tagged(("nope",), {})
+
+
+# -- the structure builders against the nested loops they replaced ---------------
+
+def _nested_loop_enum(expr, labels):
+    """The structures of an ``L``, ``+``, ``*``, ``cart``, ``point``, ``comp``,
+    ``aprod`` or ``maprod`` node, built by nested loops that ask
+    ``oracle._enum`` for an operand once per structure, as the oracle once did.
+    """
+    _enum = oracle._enum
+    n = len(labels)
+    size = sp._counts(expr, n)[n]
+    if size > oracle.ENUM_STRUCTURES:
+        raise ScaleLimit(
+            f"{type(expr).__name__} has {size} structures on {n} labels, "
+            f"past the oracle budget {oracle.ENUM_STRUCTURES}"
+        )
+    if isinstance(expr, sp.L):
+        return tuple(("list", p) for p in itertools.permutations(labels))
+    if isinstance(expr, sp.Sum):
+        return tuple(("inl", s) for s in _enum(expr.f, labels)) + tuple(
+            ("inr", s) for s in _enum(expr.g, labels)
+        )
+    if isinstance(expr, sp.Prod):
+        out = []
+        for r in range(n + 1):
+            for left in itertools.combinations(labels, r):
+                right = tuple(u for u in labels if u not in left)
+                for s1 in _enum(expr.f, left):
+                    for s2 in _enum(expr.g, right):
+                        out.append(("prod", left, s1, right, s2))
+        return tuple(out)
+    if isinstance(expr, sp.Cartesian):
+        return tuple(
+            ("cart", s1, s2)
+            for s1 in _enum(expr.f, labels)
+            for s2 in _enum(expr.g, labels)
+        )
+    if isinstance(expr, sp.Subst):
+        out = []
+        for part in oracle.partitions_of(labels):
+            inner_lists = [_enum(expr.g, b) for b in part]
+            if any(not lst for lst in inner_lists):
+                continue
+            for souter in _enum(expr.f, part):
+                for inners in itertools.product(*inner_lists):
+                    out.append(("subst", part, souter, inners))
+        return tuple(out)
+    if isinstance(expr, (sp.AProd, sp.MAProd)):
+        rects = oracle.rectangles_of if isinstance(expr, sp.AProd) else oracle.partial_rectangles_of
+        return tuple(
+            (expr.name, pi, tau, m, t)
+            for pi, tau in rects(labels)
+            for m in _enum(expr.f, pi)
+            for t in _enum(expr.g, tau)
+        )
+    if isinstance(expr, sp.Point):
+        return tuple(
+            ("point", u, s) for u in labels for s in _enum(expr.f, labels)
+        )
+    raise AssertionError(f"no nested-loop builder for {type(expr).__name__}")
+
+
+_BUILT = (sp.L, sp.Sum, sp.Prod, sp.Cartesian, sp.Subst, sp.AProd, sp.MAProd, sp.Point)
+
+
+def _outcome(build, expr, labels):
+    try:
+        return build(expr, labels)
+    except SpecalcError as e:
+        return type(e), str(e)
+
+
+def _trees(rng):
+    """Trees with every built kind at the root, their operands drawn by ``rand_emptyfree``;
+    about a third take a ``necklace(5)`` leaf, which the oracle refuses whenever it is asked for."""
+    for _ in range(12):
+        a, b = rand_emptyfree(rng), rand_emptyfree(rng)
+        if rng.random() < 0.35:
+            b = sp.Necklace(5)
+        yield from (
+            sp.Sum(a, b), sp.Prod(a, b), sp.Cartesian(a, b), sp.Point(b), sp.Subst(a, b),
+            sp.AProd(a, b), sp.MAProd(a, b), sp.Prod(sp.L(), b),
+        )
+
+
+def test_builders_match_the_nested_loops_they_replaced():
+    rng = random.Random(37)
+    seen, refused, spared = set(), 0, 0
+    for tree in _trees(rng):
+        for node in _walk(sp.validate(tree)):
+            if not isinstance(node, _BUILT):
+                continue
+            seen.add(type(node))
+            for n in range(6):
+                labels = tuple(range(1, n + 1))
+                got = _outcome(oracle._enum, node, labels)
+                assert got == _outcome(_nested_loop_enum, node, labels), (node, n)
+                refused += isinstance(got, tuple) and got[:1] == (UnsupportedAtom,)
+                spared += sp.Necklace(5) in _walk(node) and got == ()
+    assert seen == set(_BUILT)
+    # the necklace was refused where the loops asked for it, and not asked for elsewhere
+    assert refused and spared
+
+
+@pytest.mark.parametrize("kind", [k for k in sp.SpeciesExpr.__subclasses__() if k not in sp._SUGAR])
+def test_every_core_node_kind_enumerates_to_a_tuple(kind):
+    node = kind(*(2 if f in kind.int_fields else sp.X() for f in kind.fields))
+    for n in range(3):
+        assert type(oracle._enum(sp.validate(node), tuple(range(1, n + 1)))) is tuple
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_oracle_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        oracle.enumerate_structures(sp.AProd(sp.Eplus(), sp.Eplus()), range(1, 5))
+        assert gc.isenabled() is enabled
+        oracle.fix_count(sp.Cartesian(sp.C(), sp.S()), {1: 2, 2: 3, 3: 1})
+        assert gc.isenabled() is enabled
+        with pytest.raises(ScaleLimit, match="Point has 4366680 structures on 8 labels"):
+            oracle.enumerate_structures(sp.Point(sp.Subst(sp.S(), sp.Eplus())), range(1, 9))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_building_rectangles_leaves_no_cycle_behind():
+    # with the collector held off throughout, each gc.collect() counts the
+    # cycles one enumeration left; a recursive closure leaves one per shape
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        for n in (4, 8):
+            oracle._enum.cache_clear()
+            gc.collect()
+            oracle.enumerate_structures(sp.HCT(sp.E()), range(1, n + 1))
+            found.append(gc.collect())
+    finally:
+        if was:
+            gc.enable()
+    assert found[0] == found[1]
 
 
 def test_transport_relabels_both_sides_of_arithmetic_product():

@@ -41,6 +41,8 @@ RAISES = [
     (oracle.k_partial_rectangles, (2, 0), DomainError, "need k >= 1, got 0"),
     (oracle.k_partial_rectangles, (5, 5), ScaleLimit,
      r"52\^5 partition tuples exceed limit 2000000"),
+    # sizing comes first, so a kind with no rule row never reaches an oracle branch
+    (oracle.enumerate_structures, (_UnknownNode(), ()), DomainError, "unknown expression node"),
     (oracle.matrices_01, (-1, 1, 1), DomainError, "matrix size must be nonnegative, got -1"),
     (oracle.tuple_decompositions, ({u: u for u in range(1, 10)},), ScaleLimit,
      "9 labels exceeds limit 8"),
