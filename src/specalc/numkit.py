@@ -220,19 +220,16 @@ def int_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     one-part partition (n) comes first and (1^n) last.
     """
     check_order(n, "partition weight")
-    out, mult = [], [0] * n
-
-    def rec(rest, biggest, size):
-        # parts are chosen largest first, so the first one is the tuple's length
-        if rest == 0:
-            out.append(tuple(mult[:size]))
-            return
-        for p in range(min(rest, biggest), 0, -1):
-            mult[p - 1] += 1
-            rec(rest - p, p, size or p)
-            mult[p - 1] -= 1
-
-    rec(n, n, 0)
+    if not n:
+        return ((),)
+    out = []
+    # largest part p first, then each partition of n - p with no part above p,
+    # in its own order; p is the largest part, so the tuple has length p
+    for p in range(n, 0, -1):
+        for mu in int_partitions(n - p):
+            if len(mu) <= p:
+                lam = mu + (0,) * (p - len(mu))
+                out.append(lam[:-1] + (lam[-1] + 1,))
     return tuple(out)
 
 

@@ -416,11 +416,8 @@ def _enum(expr, labels):
 
 
 def _necklace_period(colors):
-    n = len(colors)
-    for d in nk.divisors(n):
-        if colors == colors[d:] + colors[:d]:
-            return d
-    raise AssertionError("rotation by n always fixes the coloring")
+    """The least rotation that fixes the coloring; rotation by its length always does."""
+    return next(d for d in nk.divisors(len(colors)) if colors == colors[d:] + colors[:d])
 
 
 # -- transport ------------------------------------------------------------------------

@@ -301,20 +301,21 @@ def validate(expr: SpeciesExpr) -> SpeciesExpr:
     after its children, so no evaluator or oracle node meets a sugar atom;
     a node with no sugar at or below it comes back as the same object.
     """
+    return _core_tree(expr, ())
 
-    def rec(node, path):
-        kids = children(node)
-        cores = [rec(ch, path + (i,)) for i, ch in enumerate(kids)]
-        operands, message = _EMPTY_FREE.get(type(node), ((), None))
-        for i in operands:
-            if _counts(cores[i], 0)[0]:
-                raise PreconditionViolated(path + (i,), message)
-        if any(map(is_not, cores, kids)):
-            it = iter(cores)
-            node = type(node)(*(next(it) if isinstance(a, SpeciesExpr) else a for a in node.args))
-        return core(node)
 
-    return rec(expr, ())
+def _core_tree(node, path):
+    """``validate``'s walk: the core form of the subtree at path, checked children first."""
+    kids = children(node)
+    cores = [_core_tree(ch, path + (i,)) for i, ch in enumerate(kids)]
+    operands, message = _EMPTY_FREE.get(type(node), ((), None))
+    for i in operands:
+        if _counts(cores[i], 0)[0]:
+            raise PreconditionViolated(path + (i,), message)
+    if any(map(is_not, cores, kids)):
+        it = iter(cores)
+        node = type(node)(*(next(it) if isinstance(a, SpeciesExpr) else a for a in node.args))
+    return core(node)
 
 
 # -- one rule row per node kind -------------------------------------------------

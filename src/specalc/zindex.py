@@ -40,7 +40,7 @@ costs one truncated product within ``ZI_PLETHYSM_PAIRS`` and no power is
 graded again.  ``ogf_plethysm`` walks the same partitions on integer type
 series: it substitutes g(x^i) for x_i, never forms the multivariate
 result, and leaves its one exact division to ``type_ints``.  Both take
-their products from one memoised walk, ``_power_walk``.
+their powers from one memoised walk, ``_power``, over x_i's images for i <= bound.
 """
 
 from __future__ import annotations
@@ -321,17 +321,12 @@ def _drop_largest_part(lam):
     return rest
 
 
-def _power_walk(unit, mul, scaled):
-    """The memoised power of each partition lam: unit at (), else
-    mul(power of lam without one largest part i, scaled(i))."""
-    power = {(): unit}
-
-    def substituted(lam):
-        if lam not in power:
-            power[lam] = mul(substituted(_drop_largest_part(lam)), scaled(len(lam)))
-        return power[lam]
-
-    return substituted
+def _power(lam, powers, mul, scaled):
+    """The power of partition lam, memoised in powers, which holds the unit at ():
+    mul(power of lam without one largest part i, scaled[i])."""
+    if lam not in powers:
+        powers[lam] = mul(_power(_drop_largest_part(lam), powers, mul, scaled), scaled[len(lam)])
+    return powers[lam]
 
 
 def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
@@ -344,15 +339,10 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
         raise CompositionError("plethysm inner series has a weight-0 term")
     bound = min(p.bound, q.bound)
     graded_q = _scaled(q.fix, bound)
-    scaled = {}
-
-    def q_scaled(i):
-        if i not in scaled:
-            scaled[i] = {w * i: {_scale_parts(lam, i): n * (nk.factorial(w * i) // nk.factorial(w))
-                                 for lam, n in terms.items()}
-                         for w, terms in graded_q.items() if w * i <= bound}
-        return scaled[i]
-
+    scaled = {i: {w * i: {_scale_parts(lam, i): n * (nk.factorial(w * i) // nk.factorial(w))
+                          for lam, n in terms.items()}
+                  for w, terms in graded_q.items() if w * i <= bound}
+              for i in range(1, bound + 1)}
     pairs = 0
 
     def product(a, b):
@@ -362,12 +352,12 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
             raise ScaleLimit(f"plethysm at weight bound {bound} exceeds {ZI_PLETHYSM_PAIRS} term pairs")
         return _pair_walk(a, b, bound, add, nk.binomial, _add_mult)
 
-    substituted = _power_walk({0: {(): 1}}, product, q_scaled)
+    powers = {(): {0: {(): 1}}}
     fact = nk.factorial(bound)
     acc = {}
     for lam, v in _terms(p, bound).items():
         c = v * (fact // nk.aut(lam))
-        for w, terms in substituted(lam).items():
+        for w, terms in _power(lam, powers, product, scaled).items():
             bucket = acc.setdefault(w, {})
             for mu, n in terms.items():
                 bucket[mu] = bucket.get(mu, 0) + c * n
@@ -407,12 +397,12 @@ def ogf_plethysm(p: CycleIndex, g) -> tuple[int, ...]:
     for i in range(1, bound + 1):
         scaled[i] = [0] * (bound + 1)
         scaled[i][i::i] = g[1 : bound // i + 1]
-    substituted = _power_walk((1,) + (0,) * bound, ogf_mul, scaled.__getitem__)
+    powers = {(): (1,) + (0,) * bound}
     fact = nk.factorial(bound)
     acc = [0] * (bound + 1)
     for lam, v in p.fix.items():
         c = v * (fact // nk.aut(lam))
-        for n, t in enumerate(substituted(lam)):
+        for n, t in enumerate(_power(lam, powers, ogf_mul, scaled)):
             acc[n] += c * t
     return type_ints(acc, [fact] * (bound + 1))
 

@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -651,6 +653,68 @@ def test_out_path_that_cannot_be_opened_exits_3(tmp_path, capsys):
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+def test_a_failed_stdout_write_propagates(monkeypatch):
+    # only a failed --out file is an exit code; stdout's failure is the interpreter's
+    class Unwritable(io.StringIO):
+        def write(self, text):
+            raise OSError("stdout is closed")
+
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    with pytest.raises(OSError, match="stdout is closed"):
+        main(["counts", "E", "--n", "2"])
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["specalc", "counts", "E", "--n", "2", "--format", "csv"])
+    assert main() == 0
+    assert capsys.readouterr().out == "n,count\n0,1\n1,1\n2,1\n"
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    # dropped from sys.modules for the run, so runpy finds no earlier import to warn of
+    monkeypatch.delitem(sys.modules, "specalc.dslcli")
+    monkeypatch.setattr(sys, "argv", ["dslcli", "types", "comp(E, Ep)", "--n", "10", "--format", "csv"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("specalc.dslcli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "10,42"
+
+
+def test_a_record_with_an_empty_payload_has_no_rows():
+    record = {"command": "counts", "expression": "E", "order": 0, "payload": {}}
+    assert _formatted(record, "csv") == ""
+    assert _formatted(record, "plain") == "# counts E --n 0"
+
+
+def test_no_command_leaves_cyclic_garbage():
+    # with the collector held off, gc.collect() after each call counts the
+    # reference cycles it left; a self-calling nested function leaves one per call
+    runs = {
+        "counts": lambda: cmd_counts("comp(E, Ep)", 8),
+        "types": lambda: cmd_types("cart(comp(E, Ep), S)", 9),
+        "zindex": lambda: cmd_zindex("comp(C, Ep)", 8),
+        "dirichlet": lambda: cmd_dirichlet("aprod(C, Lp)", 12),
+        "check": lambda: cmd_check("comp(E, Ep)", 6),
+        "enumerate": lambda: dslcli.cmd_enumerate("aprod(Ep, Ep)", 4),
+        "table": lambda: cmd_table("krect", 6, k=2),
+        "json": lambda: format_record(dslcli.cmd_enumerate("cart(C, L)", 4), "json", io.StringIO()),
+    }
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        sp._counts.cache_clear(), sp._egf.cache_clear(), oracle._enum.cache_clear()
+        nk.int_partitions.cache_clear()
+        gc.collect()
+        found = {}
+        for kind, run in runs.items():
+            run()
+            found[kind] = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert found == dict.fromkeys(runs, 0)
 
 
 def test_non_ascii_digits_are_a_parse_error_at_the_character(capsys):

@@ -171,14 +171,15 @@ def _descending_part_lists(n, biggest):
 
 
 def test_int_partitions_match_the_part_list_route():
-    # the generator builds multiplicity tuples directly; the reference builds
-    # every descending part list and converts it
-    for n in range(16):
+    # the builder extends cached partitions of n - p by a largest part p; the
+    # reference builds every descending part list and converts it
+    for n in range(26):
         lists = list(_descending_part_lists(n, n))
         assert lists == sorted(lists, reverse=True), n
         assert nk.int_partitions(n) == tuple(map(parts_to_mult, lists)), n
-    assert [len(nk.int_partitions(n)) for n in range(16)] == [
+    assert [len(nk.int_partitions(n)) for n in range(26)] == [
         1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
+        231, 297, 385, 490, 627, 792, 1002, 1255, 1575, 1958,
     ]
 
 
