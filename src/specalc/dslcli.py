@@ -22,7 +22,8 @@ exits with 0 on success, 2 on parse errors (nesting past ``MAX_DEPTH`` and
 integers past the interpreter's digit limit included), 3 on
 precondition/domain errors and an ``--out`` file that cannot be opened or
 written, 4 on scale limits (a record integer too long to print included),
-5 when a check finds a mismatch.
+5 when a check finds a mismatch.  ``_LAYOUTS`` is the one table of the csv
+and plain layouts of the list payloads.
 """
 
 from __future__ import annotations
@@ -444,14 +445,9 @@ WRITE_BATCH = 1 << 16
 
 def format_record(record: dict, fmt: str, out) -> None:
     """Write the record to the text stream ``out``, without a final newline."""
-    if fmt == "json":
-        _write_json(record, out)
-    elif fmt == "csv":
-        out.write(_format_csv(record))
-    elif fmt == "plain":
-        out.write(_format_plain(record))
-    else:
+    if fmt not in _WRITERS:
         raise DomainError(f"unknown format {fmt!r}")
+    _WRITERS[fmt](record, out)
 
 
 def _write_json(record, out):
@@ -459,13 +455,12 @@ def _write_json(record, out):
 
     Oracle structures share their substructure tuples (each cycle of
     ``cart(C, L)`` sits in 720 structures), so the text of each tuple nested
-    in a tuple is rendered once per depth and looked up by ``id``.  The
-    memo lives for this call only, while the record keeps every keyed
+    in a tuple is rendered once per indentation and looked up by ``id``.
+    The memo lives for this call only, while the record keeps every keyed
     tuple alive; the outermost structures are unique and are not kept.
     """
-    memo = {}
     batch, size = [], 0
-    for chunk in _json_chunks(record, 0, memo):
+    for chunk in _json_chunks(record, "\n", {}):
         batch.append(chunk)
         size += len(chunk)
         if size >= WRITE_BATCH:
@@ -474,32 +469,25 @@ def _write_json(record, out):
     out.write("".join(batch))
 
 
-def _json_chunks(value, depth, memo):
-    """Text of ``json.dumps(value, indent=2)`` at nesting ``depth``, in pieces."""
-    if not (value and isinstance(value, (dict, list))):
-        yield _json_text(value, depth, memo)
-        return
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
-        lead = "{" + inner
-        for k, v in value.items():  # records have string keys
-            yield lead + _json_str(k) + ": "
-            yield from _json_chunks(v, depth + 1, memo)
-            lead = "," + inner
-        yield "\n" + "  " * depth + "}"
+def _json_chunks(value, nl, memo):
+    """Pieces of ``json.dumps(value, indent=2)``, a nonempty dict or list closing after ``nl``."""
+    inner = nl + "  "
+    if isinstance(value, dict):  # records have string keys
+        lead, close, items = "{", nl + "}", ((_json_str(k) + ": ", v) for k, v in value.items())
     else:
-        lead = "[" + inner
-        for v in value:
-            if v and isinstance(v, (dict, list)):
-                yield lead
-                yield from _json_chunks(v, depth + 1, memo)
-            else:  # one piece per structure of an oracle dump
-                yield lead + _json_text(v, depth + 1, memo)
-            lead = "," + inner
-        yield "\n" + "  " * depth + "]"
+        lead, close, items = "[", nl + "]", (("", v) for v in value)
+    lead += inner
+    for key, v in items:
+        if v and isinstance(v, (dict, list)):
+            yield lead + key
+            yield from _json_chunks(v, inner, memo)
+        else:  # one piece per structure of an oracle dump
+            yield lead + key + _json_text(v, inner, memo)
+        lead = "," + inner
+    yield close
 
 
-def _json_text(value, depth, memo):
+def _json_text(value, nl, memo):
     """``_json_chunks`` as one string; the tuples nested in a tuple go through ``memo``."""
     if isinstance(value, str):
         return _json_str(value)
@@ -508,48 +496,47 @@ def _json_text(value, depth, memo):
     if not (value and isinstance(value, (tuple, list, dict))):
         return json.dumps(value)  # None, bool, float, empty containers
     if not isinstance(value, tuple):
-        return "".join(_json_chunks(value, depth, memo))
+        return "".join(_json_chunks(value, nl, memo))
+    inner = nl + "  "
     parts = []
     for v in value:
         if v and isinstance(v, tuple):
-            key = (id(v), depth + 1)
+            key = (id(v), inner)
             text = memo.get(key)
             if text is None:
-                text = memo[key] = _json_text(v, depth + 1, memo)
+                text = memo[key] = _json_text(v, inner, memo)
             parts.append(text)
         else:
-            parts.append(_json_text(v, depth + 1, memo))
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * depth + "]"
+            parts.append(_json_text(v, inner, memo))
+    return "[" + inner + ("," + inner).join(parts) + nl + "]"
+
+
+# The csv and plain layout of each list payload: its key, its header and
+# the cells of entry i.  A ``rows`` payload is laid out by its rows' keys.
+_LAYOUTS = (
+    ("counts", ("n", "count"), lambda i, c: [str(i), c]),
+    ("type_counts", ("n", "types"), lambda i, c: [str(i), c]),
+    ("terms", ("n", "term"), lambda i, t: [str(i + 1), _rat_plain(t)]),
+    ("structures", ("index", "structure"), lambda i, s: [str(i), json.dumps(s)]),
+)
+# The header of each command whose ``rows`` can be empty.
+_EMPTY_ROWS_HEADER = {"zindex": ("partition", "fix", "coeff"), "table rect": ("n", "value"),
+                      "table krect": ("n", "k", "value")}
 
 
 def _flat_rows(record):
     payload = record["payload"]
-    if "counts" in payload:
-        return ["n", "count"], [[str(i), c] for i, c in enumerate(payload["counts"])]
-    if "type_counts" in payload:
-        return ["n", "types"], [[str(i), c] for i, c in enumerate(payload["type_counts"])]
-    if "terms" in payload:
-        return ["n", "term"], [[str(i + 1), _rat_plain(t)] for i, t in enumerate(payload["terms"])]
-    if "structures" in payload:
-        return ["index", "structure"], [
-            [str(i), json.dumps(s)] for i, s in enumerate(payload["structures"])
-        ]
-    if record["command"] == "zindex":
-        return ["partition", "fix", "coeff"], [
-            [r["partition"], _rat_plain(r["fix"]), _rat_plain(r["coeff"])]
-            for r in payload["rows"]
-        ]
-    if "rows" in payload:
-        rows = payload["rows"]
-        header = list(rows[0]) if rows else []
-        return header, [[str(r[h]) for h in header] for r in rows]
-    return [], []
+    for key, header, cells in _LAYOUTS:
+        if key in payload:
+            return header, [cells(i, v) for i, v in enumerate(payload[key])]
+    rows = payload.get("rows", [])
+    header = tuple(rows[0]) if rows else _EMPTY_ROWS_HEADER.get(record["command"], ())
+    return header, [[_rat_plain(r[h]) if isinstance(r[h], dict) else str(r[h]) for h in header]
+                    for r in rows]
 
 
-def _format_csv(record) -> str:
+def _write_csv(record, out):
     header, rows = _flat_rows(record)
-    lines = [",".join(header)]
 
     def cell(c):
         c = str(c)
@@ -557,24 +544,23 @@ def _format_csv(record) -> str:
             return '"' + c.replace('"', '""') + '"'
         return c
 
-    lines.extend(",".join(cell(c) for c in row) for row in rows)
-    return "\n".join(lines)
+    out.write("\n".join(",".join(cell(c) for c in row) for row in [header, *rows]))
 
 
-def _format_plain(record) -> str:
+def _write_plain(record, out):
     lines = [f"# {record['command']} {record['expression']}".rstrip() + f" --n {record['order']}"]
-    payload = record["payload"]
-    if record["command"] == "zindex":
-        for r in payload["rows"]:
-            fix, coeff = _rat_plain(r["fix"]), _rat_plain(r["coeff"])
-            lines.append(f"{r['partition']}: {fix} (monomial coeff {coeff})")
-        return "\n".join(lines)
     header, rows = _flat_rows(record)
-    for row in rows:
-        lines.append(" ".join(f"{h}={c}" for h, c in zip(header, row)))
-    if "all_match" in payload:
-        lines.append(f"all_match={payload['all_match']}")
-    return "\n".join(lines)
+    if record["command"] == "zindex":
+        lines.extend(f"{lam}: {fix} (monomial coeff {coeff})" for lam, fix, coeff in rows)
+    else:
+        lines.extend(" ".join(f"{h}={c}" for h, c in zip(header, row)) for row in rows)
+    if "all_match" in record["payload"]:
+        lines.append(f"all_match={record['payload']['all_match']}")
+    out.write("\n".join(lines))
+
+
+# The writer of each ``--format``, in the order its help lists them.
+_WRITERS = {"json": _write_json, "csv": _write_csv, "plain": _write_plain}
 
 
 # -- entry point ------------------------------------------------------------------------
@@ -604,7 +590,7 @@ _TABLE_KINDS = ("rect", "krect", "prect", "mnr", "pittel")
 # same type, choices, default and required.
 _OPTIONS = {
     "--n": {"type": int, "required": True, "help": "truncation order"},
-    "--format": {"type": str, "choices": ("json", "csv", "plain"), "default": "plain"},
+    "--format": {"type": str, "choices": tuple(_WRITERS), "default": "plain"},
     "--out": {"type": str, "help": "write the record to this file instead of stdout"},
 }
 _TABLE_OPTIONS = {**_OPTIONS, "--k": {"type": int, "default": 2}, "--m": {"type": int, "default": 2},

@@ -8,8 +8,8 @@ counting formulas.
 
 Labelled counts are exact ``int`` tuples, one ``numkit`` count kernel per
 operation, ``hct`` included, and an atom's fix-values at the identity types
-(``zindex.atom_counts``).  ``eval_counts`` asserts that every count is
-nonnegative.  The ``Fraction`` kernels of ``series`` are the independent
+(``zindex.atom_counts``).  ``eval_counts`` raises ``DomainError`` on a
+negative count.  The ``Fraction`` kernels of ``series`` are the independent
 route the tests compare them against.  Type counts (``type_counts``) are
 ``int`` tuples too, from ``_types``: the arithmetic product is the Dirichlet
 convolution of its operands' type series, and an atom the Burnside sum over

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import os
@@ -686,6 +687,88 @@ def test_a_record_with_an_empty_payload_has_no_rows():
     record = {"command": "counts", "expression": "E", "order": 0, "payload": {}}
     assert _formatted(record, "csv") == ""
     assert _formatted(record, "plain") == "# counts E --n 0"
+
+
+# The csv and plain text of one record per command and per table kind, and
+# of the layouts no golden record holds (an empty payload's is pinned
+# above); a long text is pinned by its sha256.  The empty rect and krect
+# tables keep their header in csv.
+_TEXT_PINS = {
+    "counts": (lambda: cmd_counts("aprod(C, Lp)", 8),
+               "n,count\n0,0\n1,1\n2,3\n3,8\n4,42\n5,144\n6,1440\n7,5760\n8,75600",
+               "# counts aprod(C, Lp) --n 8\nn=0 count=0\nn=1 count=1\nn=2 count=3\nn=3 count=8\n"
+               "n=4 count=42\nn=5 count=144\nn=6 count=1440\nn=7 count=5760\nn=8 count=75600"),
+    "types": (lambda: cmd_types("comp(E, Ep)", 6),
+              "n,types\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n6,11",
+              "# types comp(E, Ep) --n 6\nn=0 types=1\nn=1 types=1\nn=2 types=2\nn=3 types=3\n"
+              "n=4 types=5\nn=5 types=7\nn=6 types=11"),
+    "zindex": (lambda: cmd_zindex("comp(E, Ep)", 3),
+               "partition,fix,coeff\n(),1,1\n1^1,1,1\n2^1,2,1\n1^2,2,1\n3^1,2,2/3\n1^1 2^1,3,3/2\n1^3,5,5/6",
+               "# zindex comp(E, Ep) --n 3\n(): 1 (monomial coeff 1)\n1^1: 1 (monomial coeff 1)\n"
+               "2^1: 2 (monomial coeff 1)\n1^2: 2 (monomial coeff 1)\n3^1: 2 (monomial coeff 2/3)\n"
+               "1^1 2^1: 3 (monomial coeff 3/2)\n1^3: 5 (monomial coeff 5/6)"),
+    "zindex-long": (lambda: cmd_zindex("comp(E, Ep)", 4),
+                    "sha256:fdb7c8fe3a4bf947439607bbc45c096a12b702425cee4b2beac918e89c5bd5d9",
+                    "sha256:e8bdd3ed9a5d86892476856b948adb23d752e162da1673bfa8f2a994a1e2e77a"),
+    "zindex-empty": (lambda: cmd_zindex("restrict(E, 5)", 2),
+                     "partition,fix,coeff", "# zindex restrict(E, 5) --n 2"),
+    "dirichlet": (lambda: cmd_dirichlet("aprod(C, Lp)", 6),
+                  "n,term\n1,1\n2,3/2\n3,4/3\n4,7/4\n5,6/5\n6,2",
+                  "# dirichlet aprod(C, Lp) --n 6\nn=1 term=1\nn=2 term=3/2\nn=3 term=4/3\n"
+                  "n=4 term=7/4\nn=5 term=6/5\nn=6 term=2"),
+    "dirichlet-n0": (lambda: cmd_dirichlet("X", 0), "n,term", "# dirichlet X --n 0"),
+    "enumerate-E": (lambda: dslcli.cmd_enumerate("E", 0),
+                    'index,structure\n0,"[""set"", []]"',
+                    '# enumerate E --n 0\nindex=0 structure=["set", []]'),
+    "enumerate-XX": (lambda: dslcli.cmd_enumerate("X * X", 2),
+                     'index,structure\n0,"[""prod"", [1], [""x"", 1], [2], [""x"", 2]]"\n'
+                     '1,"[""prod"", [2], [""x"", 2], [1], [""x"", 1]]"',
+                     '# enumerate X * X --n 2\nindex=0 structure=["prod", [1], ["x", 1], [2], ["x", 2]]\n'
+                     'index=1 structure=["prod", [2], ["x", 2], [1], ["x", 1]]'),
+    "enumerate-comp": (lambda: dslcli.cmd_enumerate("comp(E, Ep)", 3),
+                       "sha256:14050e58fd314b5bb375744c8fc930680e3f95012c6151c1b83d4c8b6e3834ef",
+                       "sha256:259dbac7750f3043f4a7eef32774feb5380404e0fff00e1205dccbe80b67cb68"),
+    "check": (lambda: cmd_check("aprod(Ep, Ep)", 4),
+              "n,eval,oracle,match\n0,0,0,True\n1,1,1,True\n2,2,2,True\n3,2,2,True\n4,8,8,True",
+              "# check aprod(Ep, Ep) --n 4\nn=0 eval=0 oracle=0 match=True\nn=1 eval=1 oracle=1 match=True\n"
+              "n=2 eval=2 oracle=2 match=True\nn=3 eval=2 oracle=2 match=True\n"
+              "n=4 eval=8 oracle=8 match=True\nall_match=True"),
+    "rect": (lambda: cmd_table("rect", 6),
+             "n,value\n1,1\n2,2\n3,2\n4,8\n5,2\n6,122",
+             "# table rect --n 6\nn=1 value=1\nn=2 value=2\nn=3 value=2\nn=4 value=8\n"
+             "n=5 value=2\nn=6 value=122"),
+    "rect-n0": (lambda: cmd_table("rect", 0), "n,value", "# table rect --n 0"),
+    "krect": (lambda: cmd_table("krect", 6, k=3),
+              "n,k,value\n1,3,1\n2,3,3\n3,3,3\n4,3,21\n5,3,3\n6,3,363",
+              "# table krect --n 6\nn=1 k=3 value=1\nn=2 k=3 value=3\nn=3 k=3 value=3\n"
+              "n=4 k=3 value=21\nn=5 k=3 value=3\nn=6 k=3 value=363"),
+    "krect-n0": (lambda: cmd_table("krect", 0, k=3), "n,k,value", "# table krect --n 0"),
+    "prect": (lambda: cmd_table("prect", 4, k=2),
+              "n,k,value\n0,2,1\n1,2,1\n2,2,3\n3,2,15\n4,2,113",
+              "# table prect --n 4\nn=0 k=2 value=1\nn=1 k=2 value=1\nn=2 k=2 value=3\n"
+              "n=3 k=2 value=15\nn=4 k=2 value=113"),
+    "mnr": (lambda: cmd_table("mnr", 2, m=2),
+            "m,n,r,value\n2,2,0,0\n2,2,1,0\n2,2,2,2\n2,2,3,4\n2,2,4,1",
+            "# table mnr --n 2\nm=2 n=2 r=0 value=0\nm=2 n=2 r=1 value=0\nm=2 n=2 r=2 value=2\n"
+            "m=2 n=2 r=3 value=4\nm=2 n=2 r=4 value=1"),
+    "pittel": (lambda: cmd_table("pittel", 3, k=2),
+               "n,k,exact,numeric,bound\n0,2,1,0.9999999999999989,1.0951171661710881e-15\n"
+               "1,2,1,0.9999998886645389,1.1151548316936965e-07\n"
+               "2,2,3,2.999999979917642,2.1771928952444763e-08\n"
+               "3,2,15,14.999999995667075,5.136982555086051e-09",
+               "sha256:f0323e18eca8b2a5a51b9289aa574342a6aa62dbadacdc6052262f2ee281b48f"),
+}
+
+
+@pytest.mark.parametrize("name", _TEXT_PINS)
+def test_csv_and_plain_text_of_every_record_kind(name):
+    make, *pins = _TEXT_PINS[name]
+    record = make()
+    for fmt, pin in zip(("csv", "plain"), pins):
+        text = _formatted(record, fmt)
+        if pin.startswith("sha256:"):
+            text = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+        assert text == pin, (name, fmt)
 
 
 def test_no_command_leaves_cyclic_garbage():
