@@ -45,10 +45,6 @@ class ScaleLimit(SpecalcError):
     """A brute-force operation was asked to run beyond its documented size limit."""
 
 
-class UnsupportedAtom(SpecalcError):
-    """The oracle cannot enumerate structures for this atom/parameters."""
-
-
 class DomainMismatch(SpecalcError):
     """A bijection does not cover the labels of the structure being transported."""
 

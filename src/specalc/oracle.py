@@ -31,13 +31,12 @@ from operator import and_
 
 from . import numkit as nk
 from . import species as sp
-from .errors import DomainError, DomainMismatch, ScaleLimit, UnsupportedAtom
+from .errors import DomainError, DomainMismatch, ScaleLimit
 
 SET_PARTITION_LIMIT = 10   # largest ground set partitions_of will expand
 ENUM_LIMIT = 8             # largest ground set for structure enumeration / rectangles
 PARTIAL_CANDIDATES = 2_000_000  # cap on Bell(n)^k tuples scanned for partial rectangles
 MATRIX_CELL_LIMIT = 20     # cap on m*n for 0/1-matrix enumeration
-NECKLACE_ALPHABET_LIMIT = 3
 ENUM_STRUCTURES = 10 ** 6  # cap on the structures one node of an enumeration builds
 
 STAR = "*"  # the label a derivative adjoins; nesting extends it to stay fresh
@@ -320,12 +319,6 @@ def enumerate_structures(expr, labels):
 @lru_cache(maxsize=None)
 def _enum(expr, labels):
     n = len(labels)
-    # an atom the oracle cannot enumerate is reported as such, whatever its size
-    necklace = isinstance(expr, (sp.Necklace, sp.AperiodicNecklace))
-    if necklace and expr.alpha > NECKLACE_ALPHABET_LIMIT:
-        raise UnsupportedAtom(
-            f"necklace alphabet {expr.alpha} exceeds limit {NECKLACE_ALPHABET_LIMIT}"
-        )
     size = sp._counts(expr, n)[n]
     if size > ENUM_STRUCTURES:
         raise ScaleLimit(
@@ -353,7 +346,7 @@ def _enum(expr, labels):
             ("inj", tuple(zip(labels, img)))
             for img in permutations(range(1, expr.n + 1), n)
         )
-    if necklace:
+    if isinstance(expr, (sp.Necklace, sp.AperiodicNecklace)):
         # a cycle of C, coloured; an aperiodic colouring is fixed by no proper rotation
         aperiodic_only = isinstance(expr, sp.AperiodicNecklace)
         return tuple(
@@ -446,7 +439,7 @@ def _block_bijection(bij, part):
 
 
 def _transport(s, bij):
-    """Move a structure along a bijection; its leading tag names its kind."""
+    """Move a structure along a bijection by its leading tag; an unknown tag is a ``DomainError``."""
     tag = s[0]
     if tag == "one":
         return s
@@ -492,7 +485,7 @@ def _transport(s, bij):
         bpi, btau = _block_bijection(bij, pi), _block_bijection(bij, tau)
         pi, tau = canon_partition(bpi.values()), canon_partition(btau.values())
         return (tag, pi, tau, _transport(m, bpi), _transport(t, btau))
-    raise UnsupportedAtom(f"oracle cannot transport a {tag!r} structure")
+    raise DomainError(f"oracle cannot transport a {tag!r} structure")
 
 
 # -- fix counts and Burnside ------------------------------------------------------------

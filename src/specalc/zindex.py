@@ -53,9 +53,8 @@ from . import numkit as nk
 from .errors import CompositionError, DomainError, ScaleLimit, UnknownAtom, ZeroConstantRequired
 from .series import TruncSeries
 
-# Most term pairs |a| |b|, summed over its products a * b, one ``zi_plethysm`` may
-# form; nested ``deriv`` raise its bound (comp(E, Ep): 2.0e7 at 18, 3.5e7 at 19).
-ZI_PLETHYSM_PAIRS = 25 * 10 ** 6
+# Most term pairs within the weight bound, summed over its products, one ``zi_plethysm`` may form.
+ZI_PLETHYSM_PAIRS = 10 ** 6
 
 
 class CycleIndex:
@@ -238,10 +237,7 @@ def zi_restrict(p: CycleIndex, n: int) -> CycleIndex:
 
 
 def _add_mult(a, b):
-    """Multiply two monomials: add their multiplicity tuples.
-
-    Keys carry no trailing zeros, so neither does the sum.
-    """
+    """Multiply two monomials: add their multiplicity tuples (no trailing zeros in, so none out)."""
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -282,23 +278,28 @@ def _unscaled(bound, graded, den=1):
     return _of(bound, fix)
 
 
-def _pair_walk(a, b, bound, weigh, placements, join):
-    """placements(w, wa) N(la) N(lb) summed at join(la, lb) in bucket w, over the term pairs
-    of two {w: {partition: N}} dicts with w = weigh(wa, wb) at most bound; zero sums dropped."""
-    out = {}
+def _bucket_pairs(a, b, bound, weigh):
+    """Bucket pairs (w, wa, terms_a, terms_b) of two {w: {partition: N}} dicts, w = weigh(wa, wb) <= bound."""
     graded_b = sorted(b.items())
     for wa, terms_a in sorted(a.items()):
         for wb, terms_b in graded_b:
             w = weigh(wa, wb)
             if w > bound:
                 break
-            count = placements(w, wa)
-            acc = out.setdefault(w, {})
-            for la, na in terms_a.items():
-                na *= count
-                for lb, nb in terms_b.items():
-                    key = join(la, lb)
-                    acc[key] = acc.get(key, 0) + na * nb
+            yield w, wa, terms_a, terms_b
+
+
+def _pair_walk(a, b, bound, weigh, placements, join):
+    """Sum placements(w, wa) N(la) N(lb) at join(la, lb) in bucket w over ``_bucket_pairs``; zeros dropped."""
+    out = {}
+    for w, wa, terms_a, terms_b in _bucket_pairs(a, b, bound, weigh):
+        count = placements(w, wa)
+        acc = out.setdefault(w, {})
+        for la, na in terms_a.items():
+            na *= count
+            for lb, nb in terms_b.items():
+                key = join(la, lb)
+                acc[key] = acc.get(key, 0) + na * nb
     return {w: {k: v for k, v in terms.items() if v} for w, terms in out.items()}
 
 
@@ -347,7 +348,7 @@ def zi_plethysm(p: CycleIndex, q: CycleIndex) -> CycleIndex:
 
     def product(a, b):
         nonlocal pairs
-        pairs += sum(map(len, a.values())) * sum(map(len, b.values()))
+        pairs += sum(len(ta) * len(tb) for _, _, ta, tb in _bucket_pairs(a, b, bound, add))
         if pairs > ZI_PLETHYSM_PAIRS:
             raise ScaleLimit(f"plethysm at weight bound {bound} exceeds {ZI_PLETHYSM_PAIRS} term pairs")
         return _pair_walk(a, b, bound, add, nk.binomial, _add_mult)

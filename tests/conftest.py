@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from specalc import oracle
 from specalc import species as sp
 from specalc.errors import DomainError, PreconditionViolated
 from specalc.series import TruncSeries
@@ -24,6 +25,25 @@ def parts_to_mult(parts) -> tuple[int, ...]:
 def labelled_counts(p, order) -> list[int]:
     """An index's labelled counts to the order: its fix-values at the identity types () and (n,)."""
     return [p.fix_value((n,) if n else ()) for n in range(order + 1)]
+
+
+def record_enum_asks(monkeypatch) -> list:
+    """Wrap ``oracle._enum`` so that it lists every ask as (depth, expr, labels), depth 1
+    for an ask made inside no other.  ``_enum`` and ``_Operand`` call the module's name,
+    so each recursive ask passes the wrapper, also where the cache then answers it."""
+    asked, depth = [], [0]
+    cached = oracle._enum
+
+    def recording(expr, labels):
+        depth[0] += 1
+        asked.append((depth[0], expr, labels))
+        try:
+            return cached(expr, labels)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(oracle, "_enum", recording)
+    return asked
 
 
 def rand_series(rng: random.Random, order: int, zero_const: bool = False) -> TruncSeries:

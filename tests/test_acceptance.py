@@ -139,7 +139,8 @@ def test_criterion_08_cyclotomic_identity():
     # An alpha-coloured necklace is a cycle of clones of its aperiodic period:
     # (a) labelled and (a') type counts of necklace(alpha) and aprod(C, aperiodic(alpha))
     # agree, (b) prod_n (1 - x^n)^(-lyndon(n, alpha)) = sum alpha^n x^n, and
-    # (c) assemblies of aprod(C, aperiodic(alpha)) number n! alpha^n.
+    # (c) assemblies of aprod(C, aperiodic(alpha)) number n! alpha^n; (d) at alpha = 4
+    # the oracle builds as many structures of each side on 5 labels as the counts say.
     ok = True
     for alpha in (1, 2, 3, 4):
         necklace = sp.Necklace(alpha)
@@ -155,7 +156,11 @@ def test_criterion_08_cyclotomic_identity():
         ok = ok and sp.eval_counts(sp.Subst(sp.E(), cloned), 12) == [
             nk.factorial(n) * alpha ** n for n in range(13)
         ]
-    assert report(8, "cyclotomic identity for alpha in {1,2,3,4} at N=12, exact", ok)
+    sides = (sp.Necklace(4), sp.AProd(sp.C(), sp.AperiodicNecklace(4)))
+    built = [len(oracle.enumerate_structures(f, range(1, 6))) for f in sides]
+    ok = ok and built == [24576, 24576] == [sp.eval_counts(f, 5)[5] for f in sides]
+    assert report(8, "cyclotomic identity for alpha in {1,2,3,4} at N=12, "
+                     "oracle on 5 labels at alpha=4, exact", ok)
 
 
 def test_criterion_09_algebraic_law_suite():

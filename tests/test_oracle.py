@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import labelled_counts, parts_to_mult, rand_emptyfree
+from conftest import labelled_counts, parts_to_mult, rand_emptyfree, record_enum_asks
 from specalc import dslcli
 from specalc import numkit as nk
 from specalc import oracle
 from specalc import species as sp
 from specalc import zindex as zi
-from specalc.errors import DomainError, DomainMismatch, ScaleLimit, SpecalcError, UnsupportedAtom
+from specalc.errors import DomainError, DomainMismatch, ScaleLimit, SpecalcError
 
 
 def test_set_partitions():
@@ -57,9 +57,15 @@ def test_enumeration_past_the_structure_budget_exits_4_fast(capsys):
     err = capsys.readouterr().err
     assert f"past the oracle budget {oracle.ENUM_STRUCTURES}" in err
     assert "Traceback" not in err
-    # an atom the oracle cannot enumerate is reported as such, however large
-    assert dslcli.main(["enumerate", "necklace(4)", "--n", "7"]) == 3
-    assert "necklace alphabet 4 exceeds limit" in capsys.readouterr().err
+    # a necklace of any alphabet is refused on the budget alone, as every node is
+    assert dslcli.main(["enumerate", "necklace(4)", "--n", "7"]) == 4
+    assert dslcli.main(["check", "necklace(5)", "--n", "8"]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "".join(
+        f"scale limit: Necklace has {size} structures on {n} labels, "
+        f"past the oracle budget {oracle.ENUM_STRUCTURES}\n"
+        for size, n in ((11_796_480, 7), (1_875_000, 6))
+    )
 
 
 def test_structure_budget_is_checked_per_node_and_inclusive(monkeypatch):
@@ -263,8 +269,16 @@ def test_enumerate_basics():
     assert len(oracle.enumerate_structures(sp.HCT(sp.E()), range(1, 6))) == 10
     with pytest.raises(ScaleLimit):
         oracle.enumerate_structures(sp.E(), range(9))
-    with pytest.raises(UnsupportedAtom):
-        oracle.enumerate_structures(sp.Necklace(4), range(2))
+    assert len(oracle.enumerate_structures(sp.Necklace(4), range(2))) == 16
+
+
+@pytest.mark.parametrize("text, last", [
+    ("necklace(4)", 24576), ("aperiodic(4)", 24480), ("aprod(C, aperiodic(4))", 24576),
+])
+def test_check_matches_necklaces_of_four_colours(text, last):
+    payload = dslcli.cmd_check(text, 5)["payload"]
+    assert payload["all_match"]
+    assert payload["rows"][-1] == {"n": "5", "eval": str(last), "oracle": str(last), "match": True}
 
 
 def test_enumerate_no_duplicates():
@@ -436,7 +450,7 @@ def _reference_transport(expr, s, bij):
             return ("hct", oracle._apply(bij, root), None)
         inner = sp.AProd(sp.NonEmpty(expr.r), expr)
         return ("hct", oracle._apply(bij, root), _reference_transport(inner, sub, bij))
-    raise UnsupportedAtom(f"oracle cannot transport {type(expr).__name__}")
+    raise DomainError(f"oracle cannot transport {type(expr).__name__}")
 
 
 # Every node class, sugar atoms included, with derivative stars nested inside
@@ -485,7 +499,7 @@ def test_transport_by_tags_matches_the_expression_walk(monkeypatch):
     assert cases >= 10_000
     # every tag _enum writes has its own branch, and an unknown one is named
     assert tags == TRANSPORT_TAGS
-    with pytest.raises(UnsupportedAtom, match="cannot transport a 'nope' structure"):
+    with pytest.raises(DomainError, match="cannot transport a 'nope' structure"):
         tagged(("nope",), {})
 
 
@@ -560,20 +574,31 @@ def _outcome(build, expr, labels):
         return type(e), str(e)
 
 
+# a leaf the structure budget refuses on every nonempty label set
+PROBE = sp.Necklace(oracle.ENUM_STRUCTURES + 1)
+
+
 def _trees(rng):
     """Trees with every built kind at the root, their operands drawn by ``rand_emptyfree``;
-    about a third take a ``necklace(5)`` leaf, which the oracle refuses whenever it is asked for."""
+    about a third take the ``PROBE`` leaf."""
     for _ in range(12):
         a, b = rand_emptyfree(rng), rand_emptyfree(rng)
         if rng.random() < 0.35:
-            b = sp.Necklace(5)
+            b = PROBE
         yield from (
             sp.Sum(a, b), sp.Prod(a, b), sp.Cartesian(a, b), sp.Point(b), sp.Subst(a, b),
             sp.AProd(a, b), sp.MAProd(a, b), sp.Prod(sp.L(), b),
         )
 
 
-def test_builders_match_the_nested_loops_they_replaced():
+def _direct(asked):
+    """The operands a builder asked for, each once, in the order it first asked."""
+    return list(dict.fromkeys((expr, labels) for depth, expr, labels in asked if depth == 1))
+
+
+def test_builders_match_the_nested_loops_they_replaced(monkeypatch):
+    built = oracle._enum.__wrapped__  # uncached, so each call asks for its operands afresh
+    asked = record_enum_asks(monkeypatch)
     rng = random.Random(37)
     seen, refused, spared = set(), 0, 0
     for tree in _trees(rng):
@@ -583,12 +608,16 @@ def test_builders_match_the_nested_loops_they_replaced():
             seen.add(type(node))
             for n in range(6):
                 labels = tuple(range(1, n + 1))
-                got = _outcome(oracle._enum, node, labels)
+                asked.clear()
+                got = _outcome(built, node, labels)
+                asks = _direct(asked)
+                asked.clear()
                 assert got == _outcome(_nested_loop_enum, node, labels), (node, n)
-                refused += isinstance(got, tuple) and got[:1] == (UnsupportedAtom,)
-                spared += sp.Necklace(5) in _walk(node) and got == ()
+                assert asks == _direct(asked), (node, n)
+                refused += got[:1] == (ScaleLimit,) and any(e == PROBE and l for e, l in asks)
+                spared += PROBE in _walk(node) and got == ()
     assert seen == set(_BUILT)
-    # the necklace was refused where the loops asked for it, and not asked for elsewhere
+    # the probe was refused where the loops asked for it, and not asked for elsewhere
     assert refused and spared
 
 

@@ -34,7 +34,7 @@ from specalc.errors import (
     SpecalcError,
     UnsupportedForCycleIndex,
 )
-from conftest import rand_emptyfree
+from conftest import labelled_counts, rand_emptyfree
 from test_cli_properties import _SETTINGS, trees
 
 
@@ -184,3 +184,18 @@ def test_nested_derivatives_of_a_substitution_stop_at_the_plethysm_budget(k):
 def test_plethysm_budget_admits_eight_nested_derivatives():
     code, out, _ = _types_cli("deriv(" * 8 + "comp(E, Ep)" + ")" * 8, 10)
     assert code == 0 and out.splitlines()[-1] == "10,19847703"
+
+
+@pytest.mark.parametrize("inner, k, last", [
+    ("comp(E, Ep)", 9, "10,143835137"),
+    ("comp(C, Ep)", 12, "10,178688122299992064"),
+    ("comp(E, C)", 13, "10,9397165954176000"),
+])
+def test_plethysm_budget_charges_only_the_pairs_within_the_bound(inner, k, last):
+    # comp(E, Ep), comp(C, Ep): a sparse outer index under a dense inner one, most term pairs
+    # past the bound; comp(E, C) at 13 forms 7.0e5 pairs within it, the closest to the budget
+    text = "deriv(" * k + inner + ")" * k
+    code, out, _ = _types_cli(text, 10)
+    assert code == 0 and out.splitlines()[-1] == last
+    tree = dslcli.parse(text).ast
+    assert labelled_counts(sp.eval_zi(tree, 10), 10) == sp.eval_counts(tree, 10)

@@ -470,13 +470,15 @@ def _reference_plethysm(p, q):
 
 
 def _reference_plethysm_pairs(p, q):
-    """Sum of |a| |b| over the products of a memoised walk: one per distinct nonempty tail
-    of a descending part list of p, the power of the tail's rest times q(x_i, x_2i, ...)."""
+    """The term pairs within the bound over the products of a memoised walk: one per distinct
+    nonempty tail of a descending part list of p, the power of the tail's rest times q(x_i, x_2i, ...)."""
     bound = min(p.bound, q.bound)
     inner = _monomials(q, bound)
     tails = {parts[k:] for parts in map(nk.mult_to_parts, _monomials(p, bound)) for k in range(len(parts))}
-    return sum(len(_reference_power(tail[1:], inner, bound)) * len(_substituted(inner, tail[0], bound))
-               for tail in tails)
+    return sum(nk.weight(la) + nk.weight(lb) <= bound
+               for tail in tails
+               for la in _reference_power(tail[1:], inner, bound)
+               for lb in _substituted(inner, tail[0], bound))
 
 
 def _reference_aprod(p, q):
